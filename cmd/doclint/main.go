@@ -3,7 +3,9 @@
 // resolve, every `-flag` documented in an inline code span must be
 // defined by some command under cmd/, and every `cmd sub` invocation in
 // a code span must name a subcommand that command's dispatch switch
-// accepts. It is the engine behind `make docs-check` and exits 1 when
+// accepts, and the metric catalog in docs/OPERATIONS.md must list
+// exactly the metric families internal/fragserver and internal/obs
+// register. It is the engine behind `make docs-check` and exits 1 when
 // any finding is reported.
 //
 // Usage:
@@ -19,9 +21,15 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"shaclfrag/internal/doclint"
 )
+
+// operationsGuide holds the metric catalog: when it is among the linted
+// files, its catalog is checked against the families the server and its
+// runtime telemetry register.
+const operationsGuide = "docs/OPERATIONS.md"
 
 func main() {
 	root := flag.String("root", ".", "repository root to lint")
@@ -65,6 +73,14 @@ func main() {
 	}
 	findings := append(doclint.Links(*root, files), doclint.Flags(*root, files, defined)...)
 	findings = append(findings, doclint.Subcommands(*root, files, subs)...)
+	if slices.Contains(files, filepath.FromSlash(operationsGuide)) {
+		metrics, err := doclint.DefinedMetrics(*root, "internal/fragserver", "internal/obs")
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "doclint:", err)
+			os.Exit(1)
+		}
+		findings = append(findings, doclint.Metrics(*root, operationsGuide, metrics)...)
+	}
 	for _, f := range findings {
 		fmt.Println(f)
 	}

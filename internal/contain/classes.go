@@ -6,10 +6,12 @@ import (
 )
 
 // Classes is the cache-sharing equivalence-class table over a slice of
-// shapes (fragserver computes one per epoch over its per-definition
-// request shapes, alongside the planner). Shapes fall into one class
-// when their CanonKeys match — the neighborhood congruence — so serving
-// one class member's cached entries for another is byte-exact.
+// shapes. Shapes fall into one class when their CanonKeys match — the
+// neighborhood congruence — so serving one class member's cached
+// entries for another is byte-exact. The congruence is syntactic and
+// depends only on the schema, never on the graph, so fragserver
+// computes one table when it loads the schema and keeps it for the
+// server's lifetime.
 type Classes struct {
 	// Rep[i] is the index of shape i's representative: the first shape
 	// with the same canonical key. Rep[i] == i for representatives.
@@ -20,21 +22,15 @@ type Classes struct {
 	// — each one is a definition whose cache entries are served from its
 	// representative.
 	Shared int
-	// UnknownPairs counts unordered pairs of distinct-class
-	// representatives for which the full containment checker could not
-	// prove equivalence in at least one direction: shapes that may be
-	// semantically equivalent but are not congruent, and therefore not
-	// shared. Exported as fragserver_containment_unknown_total.
-	UnknownPairs int
 }
 
-// ComputeClasses groups shapes by canonical key and measures, via the
-// containment checker, how many of the remaining distinct classes are
-// possibly-equivalent-but-unproven.
+// ComputeClasses groups shapes by canonical key. It never consults the
+// containment checker: mutual containment does not make neighborhoods
+// byte-identical (see CanonKey), and definitions the checker proves
+// redundant are reported at load as SL010 by Lint instead.
 func ComputeClasses(h *schema.Schema, shapes []shape.Shape) Classes {
 	cl := Classes{Rep: make([]int, len(shapes))}
 	first := make(map[string]int, len(shapes))
-	var reps []int
 	for i, s := range shapes {
 		k := CanonKey(h, s)
 		if j, ok := first[k]; ok {
@@ -44,17 +40,7 @@ func ComputeClasses(h *schema.Schema, shapes []shape.Shape) Classes {
 		}
 		first[k] = i
 		cl.Rep[i] = i
-		reps = append(reps, i)
-	}
-	cl.NumClasses = len(reps)
-
-	c := New(h, h)
-	for a := 0; a < len(reps); a++ {
-		for b := a + 1; b < len(reps); b++ {
-			if c.Equivalent(shapes[reps[a]], shapes[reps[b]]) != Contained {
-				cl.UnknownPairs++
-			}
-		}
+		cl.NumClasses++
 	}
 	return cl
 }

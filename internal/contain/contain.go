@@ -17,10 +17,12 @@
 // constant folder as validity/unsatisfiability probes: φ1 folding to ⊥
 // or φ2 folding to ⊤ settles containment immediately.
 //
-// On top of the checker the package derives three operational analyses:
-// cache-sharing equivalence classes for fragserver (classes.go, canon.go),
-// schema diffing for `shaclfrag schema-diff` (diff.go), and the SL010/
-// SL011 subsumption lints (lint.go).
+// On top of the checker the package derives two operational analyses:
+// schema diffing for `shaclfrag schema-diff` (diff.go) and the SL010/
+// SL011 subsumption lints (lint.go). Beside it sit fragserver's
+// cache-sharing equivalence classes (classes.go, canon.go), which group
+// shapes by a syntactic congruence and never ask the checker, so they
+// are cheap enough to compute once per schema at load.
 package contain
 
 import (

@@ -1,5 +1,5 @@
 // Package doclint statically checks the repository's markdown
-// documentation against the code it describes. Two defect classes rot
+// documentation against the code it describes. These defect classes rot
 // silently as a codebase grows and are cheap to gate in CI:
 //
 //   - intra-repo links: a renamed or deleted file (or section heading)
@@ -7,7 +7,10 @@
 //   - documented flags: a `-flag` mentioned in running prose or a flag
 //     table survives the flag's removal from the command that owned it;
 //   - documented subcommands: a `cmd sub` invocation survives the
-//     subcommand's rename or removal from the command's dispatch switch.
+//     subcommand's rename or removal from the command's dispatch switch;
+//   - the metric catalog: a registered metric family is never added to
+//     the operations guide's catalog tables, or a row outlives the
+//     family it documents.
 //
 // External links (anything with a URL scheme) are out of scope — their
 // liveness is not this repository's invariant. Fenced code blocks are
@@ -19,10 +22,13 @@ package doclint
 
 import (
 	"fmt"
+	"go/scanner"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -311,6 +317,108 @@ func Subcommands(root string, files []string, defined map[string]map[string]bool
 				}
 			}
 		}
+	}
+	return findings
+}
+
+// metricNameRe matches a whole metric family name in one of the
+// namespaces the server exports.
+var metricNameRe = regexp.MustCompile(`^(?:fragserver|runtime|go)_[a-z0-9_]+$`)
+
+// DefinedMetrics scans the string literals of every non-test Go file in
+// root/dir for each dir and returns the metric family names among them:
+// literals that are exactly a fragserver_*, runtime_* or go_* name. The
+// registries name their families with such literals, so this is the set
+// the metric catalog is checked against.
+func DefinedMetrics(root string, dirs ...string) (map[string]bool, error) {
+	defined := map[string]bool{}
+	for _, dir := range dirs {
+		srcs, err := filepath.Glob(filepath.Join(root, dir, "*.go"))
+		if err != nil {
+			return nil, err
+		}
+		for _, src := range srcs {
+			if strings.HasSuffix(src, "_test.go") {
+				continue
+			}
+			data, err := os.ReadFile(src)
+			if err != nil {
+				return nil, err
+			}
+			var sc scanner.Scanner
+			fset := token.NewFileSet()
+			sc.Init(fset.AddFile(src, fset.Base(), len(data)), data, nil, 0)
+			for {
+				_, tok, lit := sc.Scan()
+				if tok == token.EOF {
+					break
+				}
+				if tok != token.STRING {
+					continue
+				}
+				if name, err := strconv.Unquote(lit); err == nil && metricNameRe.MatchString(name) {
+					defined[name] = true
+				}
+			}
+		}
+	}
+	return defined, nil
+}
+
+// catalogHeading opens the metric catalog section; its tables run to the
+// next level-2 heading.
+const catalogHeading = "## Metric catalog"
+
+// Metrics checks the metric catalog in file (relative to root) against
+// defined, from DefinedMetrics. A catalog row is a table row under the
+// catalog heading whose first cell is a code span naming a family. Every
+// defined family must have a row, and every row must name a defined
+// family.
+func Metrics(root, file string, defined map[string]bool) []Finding {
+	data, err := os.ReadFile(filepath.Join(root, file))
+	if err != nil {
+		return []Finding{{File: file, Message: err.Error()}}
+	}
+	var findings []Finding
+	heading := 0 // line of the catalog heading, 0 until seen
+	rows := map[string]bool{}
+	for i, line := range strings.Split(string(data), "\n") {
+		if strings.HasPrefix(line, "## ") {
+			if heading > 0 {
+				break
+			}
+			if strings.TrimSpace(line) == catalogHeading {
+				heading = i + 1
+			}
+			continue
+		}
+		if heading == 0 || !strings.HasPrefix(line, "|") {
+			continue
+		}
+		cell := strings.TrimSpace(strings.Split(line, "|")[1])
+		name := strings.Trim(cell, "`")
+		if cell != "`"+name+"`" || !metricNameRe.MatchString(name) {
+			continue
+		}
+		rows[name] = true
+		if !defined[name] {
+			findings = append(findings, Finding{File: file, Line: i + 1,
+				Message: fmt.Sprintf("catalog row names metric family %s, which no code registers", name)})
+		}
+	}
+	if heading == 0 {
+		return append(findings, Finding{File: file, Message: "no \"" + catalogHeading + "\" section"})
+	}
+	var missing []string
+	for name := range defined {
+		if !rows[name] {
+			missing = append(missing, name)
+		}
+	}
+	sort.Strings(missing)
+	for _, name := range missing {
+		findings = append(findings, Finding{File: file, Line: heading,
+			Message: fmt.Sprintf("registered metric family %s has no catalog row", name)})
 	}
 	return findings
 }

@@ -183,6 +183,74 @@ func TestSubcommands(t *testing.T) {
 	}
 }
 
+func TestDefinedMetrics(t *testing.T) {
+	root := t.TempDir()
+	write(t, root, "srv/metrics.go", `package srv
+const mHits = "fragserver_cache_hits_total"
+var _ = reg.Gauge(`+"`runtime_goroutines`"+`, "Live goroutines, see fragserver_cache_hits_total.")
+// "fragserver_commented_out" in a comment is not a registration.
+var _ = "fragserver_" + "joined"
+`)
+	write(t, root, "srv/metrics_test.go", `package srv
+var _ = "fragserver_test_only"
+`)
+	write(t, root, "other/metrics.go", `package other
+var _ = "go_threads"
+`)
+	defined, err := DefinedMetrics(root, "srv", "other")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{"fragserver_cache_hits_total": true, "runtime_goroutines": true, "go_threads": true}
+	if len(defined) != len(want) {
+		t.Fatalf("defined = %v, want %v", defined, want)
+	}
+	for name := range want {
+		if !defined[name] {
+			t.Errorf("family %s not collected: %v", name, defined)
+		}
+	}
+}
+
+func TestMetrics(t *testing.T) {
+	root := t.TempDir()
+	write(t, root, "OPS.md", strings.Join([]string{
+		"# Ops",
+		"| `fragserver_outside_catalog` | counter | Not in the catalog section. |",
+		"## Metric catalog",
+		"### Cache",
+		"| Name | Type | Meaning |",
+		"|---|---|---|",
+		"| `fragserver_cache_hits_total` | counter | Also mentions `fragserver_stale_total`. |",
+		"| `fragserver_stale_total` | counter | Outlived its registration. |",
+		"| `runtime_goroutines` | gauge | Live goroutines. |",
+		"## Useful queries",
+		"| `fragserver_after_catalog` | counter | Past the section end. |",
+	}, "\n"))
+	defined := map[string]bool{
+		"fragserver_cache_hits_total": true,
+		"runtime_goroutines":          true,
+		"fragserver_undocumented":     true,
+	}
+	got := Metrics(root, "OPS.md", defined)
+	if len(got) != 2 {
+		t.Fatalf("got %d findings, want 2:\n%s", len(got), messages(got))
+	}
+	if got[0].Line != 8 || !strings.Contains(got[0].Message, "fragserver_stale_total") {
+		t.Errorf("finding = %s, want line 8 about fragserver_stale_total", got[0])
+	}
+	if got[1].Line != 3 || !strings.Contains(got[1].Message, "fragserver_undocumented") {
+		t.Errorf("finding = %s, want line 3 about fragserver_undocumented", got[1])
+	}
+	if got := Metrics(root, "OPS.md", map[string]bool{}); len(got) != 3 {
+		t.Errorf("every catalog row is unregistered with nothing defined; got:\n%s", messages(got))
+	}
+	write(t, root, "BARE.md", "# No catalog here\n")
+	if got := Metrics(root, "BARE.md", defined); len(got) != 1 || !strings.Contains(got[0].Message, "Metric catalog") {
+		t.Errorf("missing catalog section: %s", messages(got))
+	}
+}
+
 // TestRepoDocsClean lints this repository's actual documentation — the
 // same invocation `make docs-check` gates on — so a broken link or a
 // stale flag reference fails `go test` too, with positions.
@@ -214,8 +282,16 @@ func TestRepoDocsClean(t *testing.T) {
 	if len(subs["shaclfrag"]) == 0 {
 		t.Fatal("no shaclfrag subcommands found under cmd/ — scan is broken")
 	}
+	metrics, err := DefinedMetrics(root, "internal/fragserver", "internal/obs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !metrics["fragserver_requests_total"] || !metrics["runtime_goroutines"] {
+		t.Fatal("fragserver/runtime metric families not found — scan is broken")
+	}
 	findings := append(Links(root, files), Flags(root, files, defined)...)
 	findings = append(findings, Subcommands(root, files, subs)...)
+	findings = append(findings, Metrics(root, "docs/OPERATIONS.md", metrics)...)
 	for _, f := range findings {
 		t.Errorf("%s", f)
 	}

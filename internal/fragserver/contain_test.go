@@ -1,6 +1,7 @@
 package fragserver
 
 import (
+	"encoding/json"
 	"net/http/httptest"
 	"regexp"
 	"strconv"
@@ -121,5 +122,64 @@ func TestNodeServedFromCongruentCacheEntries(t *testing.T) {
 	}
 	if after := srv.cache.Stats().AliasHits; after == before {
 		t.Fatal("S2's /node request did not reuse S1's cached neighborhood")
+	}
+}
+
+// TestAliasesSurviveUpdates pins that the class table is a schema-lifetime
+// fact: effective updates neither rebuild it nor drop the alias table
+// from the cache, and alias-served bytes still track the updated graph.
+func TestAliasesSurviveUpdates(t *testing.T) {
+	srv, ts := newCongruentServer(t)
+	classes := srv.ContainmentClasses()
+
+	// An event that S1 serves, found through its name triple.
+	_, frag := get(t, ts, "/fragment?shape=S1")
+	var event string
+	for _, line := range strings.Split(frag, "\n") {
+		if f := strings.Fields(line); len(f) > 2 && f[1] == "<"+datagen.PropName+">" {
+			event = f[0]
+			break
+		}
+	}
+	if event == "" {
+		t.Fatalf("no name triple in S1's fragment: %q", frag[:min(80, len(frag))])
+	}
+	updates := []string{
+		event + " <" + datagen.PropName + `> "renamed" .`,
+		event + " <" + datagen.PropRating + `> "5" .`,
+	}
+	apply := func(ts *httptest.Server) {
+		t.Helper()
+		for _, u := range updates {
+			resp, body := post(t, ts, "/update", u)
+			var ur updateResponse
+			if err := json.Unmarshal([]byte(body), &ur); resp.StatusCode != 200 || err != nil || !ur.Changed {
+				t.Fatalf("POST /update %q: %d %s", u, resp.StatusCode, body)
+			}
+		}
+	}
+	apply(ts)
+
+	if got := srv.ContainmentClasses(); got != classes {
+		t.Fatalf("updates replaced the class table: %p → %p", classes, got)
+	}
+	_, metrics := get(t, ts, "/metrics")
+	hits := metricValue(t, metrics, "fragserver_containment_hits_total")
+	_, warm1 := get(t, ts, "/fragment?shape=S1")
+	_, warm2 := get(t, ts, "/fragment?shape=S2")
+	_, metrics = get(t, ts, "/metrics")
+	if after := metricValue(t, metrics, "fragserver_containment_hits_total"); after <= hits {
+		t.Fatalf("S2 after S1 did not hit through the alias table after updates (hits %v → %v)", hits, after)
+	}
+	if warm1 != warm2 || !strings.Contains(warm2, `"renamed"`) {
+		t.Fatal("alias-served fragment does not reflect the updated graph")
+	}
+
+	// Cold control: a fresh server given the same updates and asked only
+	// for S2 must produce the bytes the alias-served response carried.
+	_, cold := newCongruentServer(t)
+	apply(cold)
+	if _, coldBody := get(t, cold, "/fragment?shape=S2"); coldBody != warm2 {
+		t.Fatal("alias-served fragment after updates differs from cold extraction")
 	}
 }

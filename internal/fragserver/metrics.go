@@ -37,7 +37,6 @@ const (
 	mPlanInstrs      = "fragserver_plan_instructions"
 	mPlanMemoBytes   = "fragserver_plan_memo_bytes"
 	mContainHits     = "fragserver_containment_hits_total"
-	mContainUnknown  = "fragserver_containment_unknown_total"
 	mContainClasses  = "fragserver_containment_classes"
 	mContainShared   = "fragserver_containment_shared_shapes"
 	mSubsOpen        = "fragserver_subscribers"
@@ -311,28 +310,15 @@ func newServerMetrics(s *Server) *serverMetrics {
 			func() float64 { return float64(s.cache.Stats().AliasHits) })
 	}
 
-	// Containment equivalence-class series, sampled from the table the
-	// last replan published. Shared > 0 means the schema has congruent
+	// Containment equivalence-class series, from the table New computed
+	// for the loaded schema. Shared > 0 means the schema has congruent
 	// definitions whose cache entries are pooled.
 	reg.GaugeFunc(mContainClasses,
-		"Containment equivalence classes over the request and definition shapes.",
-		func() float64 {
-			if cl := s.classes.Load(); cl != nil {
-				return float64(cl.NumClasses)
-			}
-			return 0
-		})
+		"Containment equivalence classes over the request and definition shapes of the loaded schema.",
+		func() float64 { return float64(s.classes.NumClasses) })
 	reg.GaugeFunc(mContainShared,
 		"Shapes aliased to another shape's cache entries by the containment analysis.",
-		func() float64 {
-			if cl := s.classes.Load(); cl != nil {
-				return float64(cl.Shared)
-			}
-			return 0
-		})
-	reg.CounterFunc(mContainUnknown,
-		"Representative pairs the containment checker could not prove equivalent across class rebuilds — possibly-shareable cache partitions left separate.",
-		func() float64 { return float64(s.containUnknown.Load()) })
+		func() float64 { return float64(s.classes.Shared) })
 
 	// Trace-registry series, sampled from the ring's own counters. kept is
 	// a gauge (the ring holds at most -trace-buffer traces); the rest are

@@ -229,15 +229,11 @@ type Server struct {
 	// strategies), swapped together with splan.
 	planSet atomic.Pointer[plan.Set]
 
-	// classShapes is the pointer-stable shape list containment classes are
-	// computed over: the /fragment request shapes followed by the raw
-	// definition shapes /node keys the cache by. classes is the current
-	// equivalence-class table (rebuilt in replan, alongside the planner);
-	// containUnknown accumulates the possibly-equivalent-but-unproven rep
-	// pairs across rebuilds for the containment_unknown_total counter.
-	classShapes    []shape.Shape
-	classes        atomic.Pointer[contain.Classes]
-	containUnknown atomic.Uint64
+	// classes is the cache-sharing equivalence-class table, computed once
+	// in New over the /fragment request shapes followed by the raw
+	// definition shapes /node keys the cache by. The congruence behind it
+	// is schema-only, so no update can change it.
+	classes *contain.Classes
 
 	// live maintains materialized fragments incrementally across epochs
 	// and fans per-epoch deltas out to /subscribe streams (never nil after
@@ -355,7 +351,15 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.pins.refs = make(map[uint64]int)
 	s.staleFloor.Store(s.store.Current().Epoch())
-	s.classShapes = append(append([]shape.Shape{}, s.requests...), defShapes(cfg.Schema)...)
+	classShapes := append(append([]shape.Shape{}, s.requests...), defShapes(cfg.Schema)...)
+	cl := contain.ComputeClasses(cfg.Schema, classShapes)
+	s.classes = &cl
+	if cache != nil {
+		// Congruent definitions share cache entries: a /fragment request
+		// congruent to an already-cached definition is served from the
+		// existing entries.
+		cache.SetAliases(cl.Aliases(classShapes))
+	}
 	s.replan(s.store.Current(), nil)
 	s.hb = cfg.Heartbeat
 	if s.hb <= 0 {
@@ -392,38 +396,14 @@ func New(cfg Config) (*Server, error) {
 // from snap and publishes it. Called at load and after every effective
 // update: stats shift with the data, and with them the per-definition
 // plan-vs-direct choice and the memo-budget veto. parent (nil at load)
-// receives plan-size attributes and a reclass child span, so a sampled
-// /update trace shows how the post-apply recompute splits its time.
+// receives plan-size attributes, so a sampled /update trace shows the
+// size of the plan the recompute produced.
 func (s *Server) replan(snap store.Snapshot, parent *obs.Span) {
 	sp := plan.PlanSchema(s.h, store.SampleStats(snap), plan.Config{})
 	s.splan.Store(sp)
 	s.planSet.Store(sp.ProgramSet())
 	parent.SetAttrInt("instructions", int64(sp.ProgramSet().NumInstrs()))
 	parent.SetAttrInt("shapes", int64(len(sp.Decisions)))
-	rc := parent.StartChild("reclass")
-	s.reclass()
-	if cl := s.classes.Load(); cl != nil {
-		rc.SetAttrInt("classes", int64(cl.NumClasses))
-		rc.SetAttrInt("shared", int64(cl.Shared))
-	}
-	rc.End()
-}
-
-// reclass rebuilds the containment equivalence-class table over the
-// request and definition shapes and installs the resulting alias map on
-// the neighborhood cache, so congruent definitions share cache entries
-// (a /fragment request equivalent to an already-cached definition is
-// served from the existing entries). Runs alongside replan: the classes
-// depend only on the schema, but rebuilding per epoch keeps the table's
-// lifecycle aligned with the planner's and makes the cost visible in one
-// place.
-func (s *Server) reclass() {
-	cl := contain.ComputeClasses(s.h, s.classShapes)
-	s.classes.Store(&cl)
-	s.containUnknown.Add(uint64(cl.UnknownPairs))
-	if s.cache != nil {
-		s.cache.SetAliases(cl.Aliases(s.classShapes))
-	}
 }
 
 // defShapes lists every definition's raw shape — the keys handleNode
@@ -439,9 +419,11 @@ func defShapes(h *schema.Schema) []shape.Shape {
 // SchemaPlan returns the current strategy plan (never nil after New).
 func (s *Server) SchemaPlan() *plan.SchemaPlan { return s.splan.Load() }
 
-// ContainmentClasses returns the current cache-sharing equivalence-class
-// table (never nil after New).
-func (s *Server) ContainmentClasses() *contain.Classes { return s.classes.Load() }
+// ContainmentClasses returns the cache-sharing equivalence-class table
+// computed at load (never nil after New; the same pointer for the
+// server's lifetime). Rep indexes the request shapes followed by the
+// definition shapes.
+func (s *Server) ContainmentClasses() *contain.Classes { return s.classes }
 
 // plansFor slices the current program set to one request window of
 // s.requests — the alignment core.ParallelOptions.Plans expects.
@@ -868,10 +850,8 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	} else {
 		fmt.Fprintln(w, "cache: disabled")
 	}
-	if cl := s.classes.Load(); cl != nil {
-		fmt.Fprintf(w, "containment: %d classes over %d shapes, %d shared, %d unknown pairs\n",
-			cl.NumClasses, len(cl.Rep), cl.Shared, s.containUnknown.Load())
-	}
+	fmt.Fprintf(w, "containment: %d classes over %d shapes, %d shared\n",
+		s.classes.NumClasses, len(s.classes.Rep), s.classes.Shared)
 	ts := s.traces.Stats()
 	pct := 0.0
 	if total := ts.Sampled + ts.Dropped; total > 0 {

@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -28,6 +29,61 @@ func tracedConfig(sample int) Config {
 		Logger:      quietLogger(),
 		TraceSample: sample,
 	}
+}
+
+// withObs keeps a finished trace in the ring only after the handler has
+// streamed the response, so a client can read the whole body before the
+// trace lands. Tests that inspect srv.Traces() right after a response
+// therefore poll, up to traceWait, for the state the request leaves
+// behind; what they then assert is unchanged.
+const traceWait = 2 * time.Second
+
+// waitUntil polls cond until it holds or traceWait has passed.
+func waitUntil(cond func() bool) {
+	deadline := time.Now().Add(traceWait)
+	for !cond() && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// waitTrace returns trace id once the ring holds it, or reports it
+// missing after traceWait.
+func waitTrace(srv *Server, id string) (st *obs.SpanTrace, ok bool) {
+	waitUntil(func() bool { st, ok = srv.Traces().Get(id); return ok })
+	return st, ok
+}
+
+// settledTraceStats returns the ring's stats once n requests have been
+// accounted for — each is either sampled (kept) or dropped — or the last
+// stats seen after traceWait.
+func settledTraceStats(srv *Server, n uint64) (st obs.TraceStats) {
+	waitUntil(func() bool { st = srv.Traces().Stats(); return st.Sampled+st.Dropped >= n })
+	return st
+}
+
+// logBuffer is a log sink the test can read while the server writes the
+// request's closing log lines, which also land after the response.
+type logBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *logBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+// waitFor returns the buffered log once it contains want, or whatever it
+// holds after traceWait.
+func (b *logBuffer) waitFor(want string) (logs string) {
+	waitUntil(func() bool {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		logs = b.buf.String()
+		return strings.Contains(logs, want)
+	})
+	return logs
 }
 
 func spanByName(sp *obs.Span, name string) *obs.Span {
@@ -56,7 +112,7 @@ func TestTraceHeadSampling(t *testing.T) {
 	if traced != 2 || untraced != 2 {
 		t.Errorf("1-in-2 sampling over 4 requests: %d traced / %d untraced, want 2/2", traced, untraced)
 	}
-	st := srv.Traces().Stats()
+	st := settledTraceStats(srv, 4)
 	if st.Sampled != 2 || st.Dropped != 2 || st.Kept != 2 {
 		t.Errorf("registry stats after 4 requests: %+v", st)
 	}
@@ -80,7 +136,7 @@ func TestTraceparentIngestion(t *testing.T) {
 	if !strings.Contains(cont, upstream) {
 		t.Errorf("continuation traceparent %q lost the upstream trace ID", cont)
 	}
-	if _, ok := srv.Traces().Get(upstream); !ok {
+	if _, ok := waitTrace(srv, upstream); !ok {
 		t.Error("sampled upstream traceparent did not force a kept trace")
 	}
 
@@ -94,7 +150,7 @@ func TestTraceparentIngestion(t *testing.T) {
 	if h := resp.Header.Get("traceparent"); h != "" {
 		t.Errorf("unsampled upstream flag still produced traceparent %q", h)
 	}
-	if st := srv.Traces().Stats(); st.Sampled != 1 {
+	if st := settledTraceStats(srv, 2); st.Sampled != 1 {
 		t.Errorf("unsampled upstream request was traced: %+v", st)
 	}
 }
@@ -142,7 +198,7 @@ func TestDebugTracesEndToEnd(t *testing.T) {
 	// The span tree and the route histogram time the same request: the
 	// root span nests inside the middleware's histogram observation, and
 	// the extract span (with its shard children) nests inside the root.
-	st, ok := srv.Traces().Get(traceID)
+	st, ok := waitTrace(srv, traceID)
 	if !ok {
 		t.Fatal("trace vanished from the registry")
 	}
@@ -217,7 +273,7 @@ func TestExemplarLinksMetricsToTrace(t *testing.T) {
 // TestSlowRequestLog drives a request past a 1ns threshold and expects the
 // structured warning carrying the trace ID and top spans.
 func TestSlowRequestLog(t *testing.T) {
-	var buf bytes.Buffer
+	var buf logBuffer
 	cfg := tracedConfig(1)
 	cfg.Logger = slog.New(slog.NewTextHandler(&buf, nil))
 	cfg.SlowRequest = time.Nanosecond
@@ -225,7 +281,7 @@ func TestSlowRequestLog(t *testing.T) {
 	resp, _ := get(t, ts, "/fragment")
 	traceID := strings.Split(resp.Header.Get("traceparent"), "-")[1]
 
-	logs := buf.String()
+	logs := buf.waitFor("slow request")
 	if !strings.Contains(logs, "slow request") {
 		t.Fatalf("no slow-request warning in logs:\n%s", logs)
 	}
@@ -236,7 +292,7 @@ func TestSlowRequestLog(t *testing.T) {
 		t.Errorf("slow-request log has no top_spans field:\n%s", logs)
 	}
 	// A slow trace is notable: it survives eviction ahead of routine ones.
-	if st := srv.Traces().Stats(); st.Kept != 1 {
+	if st := settledTraceStats(srv, 1); st.Kept != 1 {
 		t.Errorf("slow trace not kept: %+v", st)
 	}
 }
@@ -256,8 +312,10 @@ func TestStatsTracesLine(t *testing.T) {
 }
 
 // TestUpdateTraceSpans checks the write path's span tree: a sampled
-// POST /update shows parse, apply (with effective-delta attributes), and
-// the replan/reclass recompute.
+// POST /update shows parse, apply (with effective-delta attributes),
+// replan and notify (with its affected count), in that order. The
+// containment classes are computed once at load, so replan has no
+// reclass child.
 func TestUpdateTraceSpans(t *testing.T) {
 	srv, ts := newUpdateTestServer(t, Config{TraceSample: 1, Logger: quietLogger()})
 	resp, body := post(t, ts, "/update", lineAE)
@@ -265,7 +323,7 @@ func TestUpdateTraceSpans(t *testing.T) {
 		t.Fatalf("POST /update: %d\n%s", resp.StatusCode, body)
 	}
 	traceID := strings.Split(resp.Header.Get("traceparent"), "-")[1]
-	st, ok := srv.Traces().Get(traceID)
+	st, ok := waitTrace(srv, traceID)
 	if !ok {
 		t.Fatal("update trace not kept")
 	}
@@ -273,10 +331,10 @@ func TestUpdateTraceSpans(t *testing.T) {
 	if root.Name() != "POST /update" {
 		t.Fatalf("root span %q", root.Name())
 	}
-	apply := spanByName(root, "apply")
-	if spanByName(root, "parse") == nil || apply == nil {
-		t.Fatalf("update trace lacks parse/apply spans; have %v", names(root))
+	if got, want := strings.Join(names(root), " → "), "parse → apply → replan → notify"; got != want {
+		t.Fatalf("update span tree = %s, want %s", got, want)
 	}
+	apply := spanByName(root, "apply")
 	var added int64
 	for _, a := range apply.Attrs() {
 		if a.Key == "added" {
@@ -286,12 +344,15 @@ func TestUpdateTraceSpans(t *testing.T) {
 	if added != 1 {
 		t.Errorf("apply span added attr = %d, want 1", added)
 	}
-	replan := spanByName(root, "replan")
-	if replan == nil {
-		t.Fatalf("effective update has no replan span; have %v", names(root))
+	if spanByName(spanByName(root, "replan"), "reclass") != nil {
+		t.Error("replan span still has a reclass child")
 	}
-	if spanByName(replan, "reclass") == nil {
-		t.Error("replan span has no reclass child")
+	var hasAffected bool
+	for _, a := range spanByName(root, "notify").Attrs() {
+		hasAffected = hasAffected || a.Key == "affected"
+	}
+	if !hasAffected {
+		t.Error("notify span has no affected attr")
 	}
 }
 
@@ -312,7 +373,7 @@ func TestTraceRingBounded(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		get(t, ts, "/fragment")
 	}
-	st := srv.Traces().Stats()
+	st := settledTraceStats(srv, 5)
 	if st.Kept != 2 || st.Cap != 2 {
 		t.Errorf("ring holds %d/%d, want 2/2", st.Kept, st.Cap)
 	}
