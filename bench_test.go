@@ -228,7 +228,7 @@ func BenchmarkTabTPF(b *testing.B) {
 
 // BenchmarkAblationStrategies compares the neighborhood computation
 // strategies head-to-head on one shape: the two of Section 5 plus the
-// compiled instruction plan the strategy planner routes to.
+// compiled instruction plan fragserver serves from.
 func BenchmarkAblationStrategies(b *testing.B) {
 	g := tyrolGraph(1000)
 	defs := datagen.BenchmarkShapes()
@@ -490,8 +490,7 @@ func BenchmarkSharded10M(b *testing.B) {
 // BenchmarkContainment measures the static containment analysis that
 // backs cache sharing, schema diffing and the subsumption lints: building
 // a checker and answering every pairwise Contains question over a schema,
-// plus the per-epoch equivalence-class computation fragserver runs
-// alongside the planner.
+// plus the equivalence-class computation fragserver runs once at load.
 func BenchmarkContainment(b *testing.B) {
 	schemas := []struct {
 		name string

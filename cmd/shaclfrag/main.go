@@ -144,8 +144,7 @@ func cmdFragment(args []string) error {
 	request := fs.String("request", "", `ad-hoc request shape in textual syntax, e.g. '>=1 <http://x/p>.top'`)
 	baseIRI := fs.String("base", "", "base IRI for bare names in -request")
 	outPath := fs.String("o", "", "output file (default stdout)")
-	strategy := fs.String("strategy", "auto", "extraction strategy: auto (cost-based planner), plan, direct, or sparql")
-	viaSPARQL := fs.Bool("sparql", false, "deprecated: same as -strategy sparql")
+	strategy := fs.String("strategy", "plan", "extraction strategy: plan (compiled plans, AST walker past the memo budget), direct (AST walker), or sparql (translated query)")
 	backend := fs.String("backend", "single", "storage backend for the direct extractor: single or sharded")
 	shards := fs.Int("shards", 0, "shard count for -backend sharded (0 = default)")
 	workers := fs.Int("workers", 0, "parallel extraction workers (0 = GOMAXPROCS)")
@@ -184,9 +183,6 @@ func cmdFragment(args []string) error {
 	default:
 		return fmt.Errorf("need -shapes or -request")
 	}
-	if *viaSPARQL {
-		*strategy = "sparql"
-	}
 	var frag []shaclfrag.Triple
 	if *strategy == "sparql" {
 		// The paper's translation strategy, unconditionally: build Q_S and
@@ -213,19 +209,15 @@ func cmdFragment(args []string) error {
 		case "direct":
 			// AST walker everywhere; plans stay nil.
 		case "plan":
-			plans = plan.CompileAll(requests, defs)
-		case "auto":
 			if h != nil {
-				// Cost-based choice per definition; SPARQL-routed
-				// definitions fall back to the AST walker in-process (the
-				// estimate only favors SPARQL for external endpoints).
-				sp := plan.PlanSchema(h, store.SampleStats(st.Current()), plan.Config{})
-				plans = sp.ProgramSet()
+				// The serving configuration: definitions whose memo would
+				// exceed the budget fall back to the AST walker.
+				plans = plan.PlanSchema(h, store.SampleStats(st.Current()), plan.Config{}).ProgramSet()
 			} else {
 				plans = plan.CompileAll(requests, nil)
 			}
 		default:
-			return fmt.Errorf("unknown -strategy %q (want auto, plan, direct or sparql)", *strategy)
+			return fmt.Errorf("unknown -strategy %q (want plan, direct or sparql)", *strategy)
 		}
 		x := core.NewExtractor(st.Current().Reader(), defs)
 		extract := root.StartChild("extract")
@@ -457,8 +449,9 @@ func cmdTranslate(args []string) error {
 }
 
 // cmdPlan disassembles the compiled instruction programs of a shapes graph
-// and, when a data graph is given, shows the cost-based planner's strategy
-// decision for each definition against that graph's cardinality stats.
+// and, when a data graph is given, shows each definition's strategy: its
+// plan, or the AST walker when the memo sized against that graph's
+// dictionary exceeds the budget.
 func cmdPlan(args []string) error {
 	fs := flag.NewFlagSet("plan", flag.ExitOnError)
 	shapesPath := fs.String("shapes", "", "shapes graph (Turtle)")
@@ -525,8 +518,6 @@ func cmdPlan(args []string) error {
 		if sp != nil {
 			dec := sp.Decisions[i]
 			fmt.Printf("strategy: %s (%s)\n", dec.Strategy, dec.Reason)
-			fmt.Printf("cost: plan=%.3g direct=%.3g sparql=%.3g memo=%dB\n",
-				dec.CostPlan, dec.CostDirect, dec.CostSPARQL, dec.MemoBytes)
 			fmt.Print(dec.Program)
 			continue
 		}

@@ -89,7 +89,7 @@ func TestCLIEndToEnd(t *testing.T) {
 	}
 
 	// fragment via the SPARQL strategy must agree.
-	sparqlOut := run(0, "fragment", "-data", data, "-shapes", shapes, "-sparql")
+	sparqlOut := run(0, "fragment", "-data", data, "-shapes", shapes, "-strategy", "sparql")
 	if sparqlOut != out {
 		t.Errorf("strategies disagree:\n%s\nvs\n%s", out, sparqlOut)
 	}

@@ -33,7 +33,6 @@ const (
 	mStoreShards     = "fragserver_store_shards"
 	mCrossShard      = "fragserver_store_cross_shard_resolutions_total"
 	mPlannerShapes   = "fragserver_planner_strategy_shapes"
-	mPlannerEpoch    = "fragserver_planner_stats_epoch"
 	mPlanInstrs      = "fragserver_plan_instructions"
 	mPlanMemoBytes   = "fragserver_plan_memo_bytes"
 	mContainHits     = "fragserver_containment_hits_total"
@@ -80,7 +79,7 @@ func normalizeRoute(path string) string {
 // registry lookups.
 var stageNames = []string{
 	"parse", "target", "extract", "serialize", "validate", "nnf", "merge",
-	"apply", "replan", "notify", "scatter", "gather",
+	"apply", "notify", "scatter", "gather",
 }
 
 // serverMetrics owns the server's registry plus the pre-created hot-path
@@ -113,7 +112,7 @@ type serverMetrics struct {
 	subsOpened *obs.Counter
 }
 
-func newServerMetrics(s *Server) *serverMetrics {
+func newServerMetrics(s *Server, sp *plan.SchemaPlan) *serverMetrics {
 	reg := obs.NewRegistry()
 	m := &serverMetrics{
 		reg:       reg,
@@ -228,46 +227,25 @@ func newServerMetrics(s *Server) *serverMetrics {
 			func() float64 { return float64(s.store.CrossShardResolutions()) })
 	}
 
-	// Strategy-planner series, sampled from the current plan at scrape
-	// time. The plan is re-derived per effective update, so the stats
-	// epoch lagging fragserver_epoch means an update raced the scrape.
-	for _, strat := range []plan.Strategy{plan.StrategyPlan, plan.StrategyDirect, plan.StrategySPARQL} {
-		strat := strat
-		reg.GaugeFunc(mPlannerShapes,
-			"Shape definitions routed to each extraction strategy by the cost-based planner.",
-			func() float64 {
-				if sp := s.splan.Load(); sp != nil {
-					return float64(sp.Counts()[strat])
-				}
-				return 0
-			}, obs.L("strategy", strat.String()))
+	// The plan is computed once at load, so its series are set once. Both
+	// strategies are always exported; "direct" counts definitions whose
+	// dense memo exceeded the budget and run on the AST walker.
+	counts := sp.Counts()
+	var memo int64
+	for _, d := range sp.Decisions {
+		if d.Strategy == plan.StrategyPlan {
+			memo += d.MemoBytes
+		}
 	}
-	reg.GaugeFunc(mPlannerEpoch,
-		"Store epoch whose cardinality stats produced the current strategy plan.",
-		func() float64 {
-			if sp := s.splan.Load(); sp != nil {
-				return float64(sp.Stats.Epoch)
-			}
-			return 0
-		})
-	reg.GaugeFunc(mPlanInstrs,
-		"Compiled plan instructions live across plan-routed definitions.",
-		func() float64 { return float64(s.planSet.Load().NumInstrs()) })
-	reg.GaugeFunc(mPlanMemoBytes,
-		"Dense memo bytes one worker binding every plan-routed program would pin.",
-		func() float64 {
-			sp := s.splan.Load()
-			if sp == nil {
-				return 0
-			}
-			var total int64
-			for _, d := range sp.Decisions {
-				if d.Strategy == plan.StrategyPlan {
-					total += d.MemoBytes
-				}
-			}
-			return float64(total)
-		})
+	for _, strat := range []plan.Strategy{plan.StrategyPlan, plan.StrategyDirect} {
+		reg.Gauge(mPlannerShapes,
+			"Shape definitions routed to each extraction strategy at load: compiled plan, or the AST walker when the memo exceeds its budget.",
+			obs.L("strategy", strat.String())).Set(int64(counts[strat]))
+	}
+	reg.Gauge(mPlanInstrs,
+		"Compiled plan instructions across plan-routed definitions.").Set(int64(s.plans.NumInstrs()))
+	reg.Gauge(mPlanMemoBytes,
+		"Dense memo bytes one worker binding every plan-routed program would pin, priced at load.").Set(memo)
 
 	// Lint findings are fixed at load time, so the per-severity gauges are
 	// set once. All three severities are always exported: a zero is the

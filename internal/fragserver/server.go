@@ -217,17 +217,11 @@ type Server struct {
 	// cache keys.
 	requests []shape.Shape
 
-	// splan is the cost-based strategy plan for the served schema, aligned
-	// with requests. It is recomputed against fresh cardinality stats after
-	// every effective update (replan) and swapped atomically; /fragment
-	// reads whichever plan is current. SPARQL-routed definitions fall back
-	// to the AST walker here — the server has no per-definition SPARQL
-	// execution path, and the estimate only picks SPARQL when an external
-	// endpoint would run the query.
-	splan atomic.Pointer[plan.SchemaPlan]
-	// planSet caches splan's ProgramSet (nil entries for non-plan
-	// strategies), swapped together with splan.
-	planSet atomic.Pointer[plan.Set]
+	// plans holds the compiled program per definition, aligned with
+	// requests; nil entries are definitions whose dense memo exceeded the
+	// budget at load and run on the AST walker. Programs depend only on
+	// the schema, so the set is computed once in New and never replaced.
+	plans *plan.Set
 
 	// classes is the cache-sharing equivalence-class table, computed once
 	// in New over the /fragment request shapes followed by the raw
@@ -360,26 +354,22 @@ func New(cfg Config) (*Server, error) {
 		// existing entries.
 		cache.SetAliases(cl.Aliases(classShapes))
 	}
-	s.replan(s.store.Current(), nil)
+	sp := plan.PlanSchema(cfg.Schema, store.SampleStats(s.store.Current()), plan.Config{})
+	s.plans = sp.ProgramSet()
 	s.hb = cfg.Heartbeat
 	if s.hb <= 0 {
 		s.hb = 15 * time.Second
 	}
 	s.live = live.NewMaintainer(live.Config{
-		Schema:   cfg.Schema,
-		Requests: s.requests,
-		Cache:    s.cache,
-		Plans: func(def int) *plan.Program {
-			if set := s.planSet.Load(); set != nil && def < len(set.Programs) {
-				return set.Programs[def]
-			}
-			return nil
-		},
+		Schema:         cfg.Schema,
+		Requests:       s.requests,
+		Cache:          s.cache,
+		Plans:          func(def int) *plan.Program { return s.plans.Programs[def] },
 		Replay:         cfg.SubscribeReplay,
 		Queue:          cfg.SubscribeQueue,
 		MaxSubscribers: cfg.MaxSubscribers,
 	}, s.store.Current())
-	s.metrics = newServerMetrics(s)
+	s.metrics = newServerMetrics(s, sp)
 	// /subscribe streams are long-lived: they bypass the per-request
 	// timeout and the in-flight limiter (the maintainer enforces its own
 	// MaxSubscribers bound) but still run under withObs, so they are
@@ -392,20 +382,6 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// replan recomputes the strategy plan against cardinality stats sampled
-// from snap and publishes it. Called at load and after every effective
-// update: stats shift with the data, and with them the per-definition
-// plan-vs-direct choice and the memo-budget veto. parent (nil at load)
-// receives plan-size attributes, so a sampled /update trace shows the
-// size of the plan the recompute produced.
-func (s *Server) replan(snap store.Snapshot, parent *obs.Span) {
-	sp := plan.PlanSchema(s.h, store.SampleStats(snap), plan.Config{})
-	s.splan.Store(sp)
-	s.planSet.Store(sp.ProgramSet())
-	parent.SetAttrInt("instructions", int64(sp.ProgramSet().NumInstrs()))
-	parent.SetAttrInt("shapes", int64(len(sp.Decisions)))
-}
-
 // defShapes lists every definition's raw shape — the keys handleNode
 // caches neighborhoods under.
 func defShapes(h *schema.Schema) []shape.Shape {
@@ -416,23 +392,16 @@ func defShapes(h *schema.Schema) []shape.Shape {
 	return out
 }
 
-// SchemaPlan returns the current strategy plan (never nil after New).
-func (s *Server) SchemaPlan() *plan.SchemaPlan { return s.splan.Load() }
-
 // ContainmentClasses returns the cache-sharing equivalence-class table
 // computed at load (never nil after New; the same pointer for the
 // server's lifetime). Rep indexes the request shapes followed by the
 // definition shapes.
 func (s *Server) ContainmentClasses() *contain.Classes { return s.classes }
 
-// plansFor slices the current program set to one request window of
-// s.requests — the alignment core.ParallelOptions.Plans expects.
+// plansFor slices the program set to one request window of s.requests —
+// the alignment core.ParallelOptions.Plans expects.
 func (s *Server) plansFor(lo, hi int) *plan.Set {
-	set := s.planSet.Load()
-	if set == nil {
-		return nil
-	}
-	return &plan.Set{Programs: set.Programs[lo:hi]}
+	return &plan.Set{Programs: s.plans.Programs[lo:hi]}
 }
 
 // Handler returns the server's handler tree (routes plus timeout, limiter

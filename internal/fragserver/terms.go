@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"unicode/utf8"
 
 	"shaclfrag/internal/rdf"
 	"shaclfrag/internal/turtle"
@@ -52,9 +53,12 @@ func parseTermViaTurtle(raw string) (rdf.Term, error) {
 }
 
 // parseBareIRI accepts un-bracketed IRIs for curl convenience, rejecting
-// anything that could not be an IRI (whitespace, Turtle delimiters, no
-// scheme separator).
+// anything that could not be an IRI (invalid UTF-8, whitespace, Turtle
+// delimiters, no scheme separator).
 func parseBareIRI(raw string) (rdf.Term, error) {
+	if !utf8.ValidString(raw) {
+		return rdf.Term{}, fmt.Errorf("malformed IRI %q: not valid UTF-8", raw)
+	}
 	if strings.ContainsAny(raw, " \t\r\n<>\"'`{}|\\^") {
 		return rdf.Term{}, fmt.Errorf("malformed IRI %q: contains whitespace or delimiter characters (bracket IRIs as <iri>, quote literals)", raw)
 	}

@@ -312,10 +312,10 @@ func TestStatsTracesLine(t *testing.T) {
 }
 
 // TestUpdateTraceSpans checks the write path's span tree: a sampled
-// POST /update shows parse, apply (with effective-delta attributes),
-// replan and notify (with its affected count), in that order. The
-// containment classes are computed once at load, so replan has no
-// reclass child.
+// POST /update shows parse, apply (with effective-delta attributes) and
+// notify (with its affected count), in that order. Plans and containment
+// classes are computed once at load, so no replan span exists anywhere in
+// the tree.
 func TestUpdateTraceSpans(t *testing.T) {
 	srv, ts := newUpdateTestServer(t, Config{TraceSample: 1, Logger: quietLogger()})
 	resp, body := post(t, ts, "/update", lineAE)
@@ -331,7 +331,7 @@ func TestUpdateTraceSpans(t *testing.T) {
 	if root.Name() != "POST /update" {
 		t.Fatalf("root span %q", root.Name())
 	}
-	if got, want := strings.Join(names(root), " → "), "parse → apply → replan → notify"; got != want {
+	if got, want := strings.Join(names(root), " → "), "parse → apply → notify"; got != want {
 		t.Fatalf("update span tree = %s, want %s", got, want)
 	}
 	apply := spanByName(root, "apply")
@@ -344,9 +344,16 @@ func TestUpdateTraceSpans(t *testing.T) {
 	if added != 1 {
 		t.Errorf("apply span added attr = %d, want 1", added)
 	}
-	if spanByName(spanByName(root, "replan"), "reclass") != nil {
-		t.Error("replan span still has a reclass child")
+	var noReplan func(sp *obs.Span)
+	noReplan = func(sp *obs.Span) {
+		if sp.Name() == "replan" {
+			t.Error("update trace still has a replan span")
+		}
+		for _, c := range sp.Children() {
+			noReplan(c)
+		}
 	}
+	noReplan(root)
 	var hasAffected bool
 	for _, a := range spanByName(root, "notify").Attrs() {
 		hasAffected = hasAffected || a.Key == "affected"

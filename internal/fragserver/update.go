@@ -107,16 +107,10 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	stopApply()
 
 	if res.Changed {
-		// Re-plan against the new epoch's cardinalities: the strategy
-		// choices and the memo-budget veto track the data they price.
-		replanSpan, stopReplan := tr.StartSpan("replan")
-		s.replan(res.Snapshot, replanSpan)
-		stopReplan()
 		// Advance incremental fragment maintenance and fan deltas out to
-		// /subscribe streams. Runs after replan so re-extraction follows
-		// the new epoch's compiled plans, and synchronously in the update
-		// path so heavy subscription load backpressures writers instead
-		// of accumulating an unbounded notification backlog.
+		// /subscribe streams. Runs synchronously in the update path so
+		// heavy subscription load backpressures writers instead of
+		// accumulating an unbounded notification backlog.
 		notifySpan, stopNotify := tr.StartSpan("notify")
 		ls := s.live.Notify(res, notifySpan)
 		stopNotify()

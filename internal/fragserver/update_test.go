@@ -11,12 +11,14 @@ import (
 	"testing"
 	"time"
 
+	"shaclfrag/internal/core"
 	"shaclfrag/internal/datagen"
 	"shaclfrag/internal/paths"
 	"shaclfrag/internal/rdf"
 	"shaclfrag/internal/rdfgraph"
 	"shaclfrag/internal/schema"
 	"shaclfrag/internal/shape"
+	"shaclfrag/internal/turtle"
 )
 
 func ex(s string) rdf.Term { return rdf.NewIRI("http://ex/" + s) }
@@ -381,5 +383,66 @@ func TestTimeoutReleasesLimiterSlot(t *testing.T) {
 	// And the slot is actually free: a cheap route sails through.
 	if resp, _ := get(t, ts, "/healthz"); resp.StatusCode != 200 {
 		t.Fatalf("post-timeout /healthz: %d", resp.StatusCode)
+	}
+}
+
+// TestPlansFixedAcrossUpdates pins that compiled plans are a
+// schema-lifetime fact: effective updates neither replace the program set
+// nor move its gauges, and /fragment served from those programs still
+// byte-equals a fresh AST walker on the updated graph.
+func TestPlansFixedAcrossUpdates(t *testing.T) {
+	srv, ts := newCongruentServer(t)
+	plans := srv.plans
+	series := []string{"fragserver_plan_instructions", `fragserver_planner_strategy_shapes{strategy="plan"}`}
+	_, metrics := get(t, ts, "/metrics")
+	before := make(map[string]float64)
+	for _, name := range series {
+		before[name] = metricValue(t, metrics, name)
+	}
+	if before[series[1]] != 2 {
+		t.Fatalf("%s = %v, want both definitions on plans", series[1], before[series[1]])
+	}
+
+	// Rename the first event S1 serves, then rate it.
+	_, frag := get(t, ts, "/fragment?shape=S1")
+	var event string
+	for _, line := range strings.Split(frag, "\n") {
+		if f := strings.Fields(line); len(f) > 2 && f[1] == "<"+datagen.PropName+">" {
+			event = f[0]
+			break
+		}
+	}
+	if event == "" {
+		t.Fatalf("no name triple in S1's fragment: %q", frag[:min(80, len(frag))])
+	}
+	for _, u := range []string{
+		event + " <" + datagen.PropName + `> "renamed" .`,
+		event + " <" + datagen.PropRating + `> "5" .`,
+	} {
+		resp, body := post(t, ts, "/update", u)
+		var ur updateResponse
+		if err := json.Unmarshal([]byte(body), &ur); resp.StatusCode != 200 || err != nil || !ur.Changed {
+			t.Fatalf("POST /update %q: %d %s", u, resp.StatusCode, body)
+		}
+	}
+
+	if srv.plans != plans {
+		t.Fatalf("updates replaced the program set: %p → %p", plans, srv.plans)
+	}
+	_, metrics = get(t, ts, "/metrics")
+	for _, name := range series {
+		if got := metricValue(t, metrics, name); got != before[name] {
+			t.Errorf("%s moved across updates: %v → %v", name, before[name], got)
+		}
+	}
+	for i, name := range []string{"S1", "S2"} {
+		_, body := get(t, ts, "/fragment?shape="+name)
+		want := turtle.FormatNTriples(core.NewExtractor(srv.graphNow(), srv.h).Fragment(srv.requests[i : i+1]))
+		if body != want {
+			t.Errorf("%s: plan-served fragment after updates differs from the AST walker (%d vs %d bytes)", name, len(body), len(want))
+		}
+		if !strings.Contains(body, `"renamed"`) {
+			t.Errorf("%s: fragment does not reflect the update", name)
+		}
 	}
 }

@@ -60,10 +60,9 @@ type Config struct {
 	// consulted first), keeping the serving cache warm for the nodes each
 	// update touched.
 	Cache *core.NeighborhoodCache
-	// Plans, when non-nil, resolves the current compiled program for a
-	// definition index (nil for non-plan strategies). Re-resolved on
-	// every epoch step so maintenance follows the planner's per-epoch
-	// choices.
+	// Plans, when non-nil, resolves the compiled program for a
+	// definition index (nil for definitions that run on the AST walker).
+	// Each epoch step binds the program it returns to the new snapshot.
 	Plans func(def int) *plan.Program
 	// Replay bounds the per-shape delta ring used to resume subscribers
 	// from a Last-Event-ID epoch; <= 0 means 64. A subscriber further
@@ -146,8 +145,8 @@ func NewMaintainer(cfg Config, snap store.Snapshot) *Maintainer {
 	}
 }
 
-// bind resolves and binds the current compiled program for def, nil when
-// the planner routed it elsewhere.
+// bind binds the compiled program for def to g, nil when def runs on the
+// AST walker.
 func (m *Maintainer) bind(def int, g rdfgraph.Reader) *plan.Bound {
 	if m.cfg.Plans == nil {
 		return nil
@@ -206,11 +205,10 @@ type NotifyStats struct {
 
 // Notify advances maintenance across the epoch transition res describes
 // and fans the resulting per-shape deltas out to subscribers. It must be
-// called once per effective update, after the caller has re-planned (so
-// Config.Plans resolves against the new epoch); res.Changed false is a
-// no-op. Out-of-order notifications (racing handlers) are stashed and
-// applied when their predecessor epoch lands, so steps always run in
-// epoch order against the matching Unaffected predicate.
+// called once per effective update; res.Changed false is a no-op.
+// Out-of-order notifications (racing handlers) are stashed and applied
+// when their predecessor epoch lands, so steps always run in epoch order
+// against the matching Unaffected predicate.
 //
 // sp, when non-nil (a sampled update request), receives the affected /
 // reextracted / shapes attributes and reextract / fanout child timings —

@@ -26,8 +26,8 @@ type atomicPath struct {
 //
 // Memory: the memo and visited rows cost about 2 bytes × instructions ×
 // dictionary terms once every instruction has been touched. MemoBytes
-// reports the full-population bound; the strategy planner refuses plans
-// whose bound exceeds its budget and falls back to the AST walker.
+// reports the full-population bound; PlanSchema routes programs whose
+// bound exceeds its memo budget to the AST walker.
 type Bound struct {
 	prog *Program
 	g    rdfgraph.Reader
@@ -131,7 +131,7 @@ func (b *Bound) Program() *Program { return b.prog }
 
 // MemoBytes estimates the fully-populated dense-array footprint of binding
 // p to a dictionary of dictTerms entries: memo plus visited rows for every
-// instruction. The planner compares this against its memory budget.
+// instruction. PlanSchema compares this against its memo budget.
 func (p *Program) MemoBytes(dictTerms int) int64 {
 	return 2 * int64(len(p.Instrs)) * int64(dictTerms)
 }

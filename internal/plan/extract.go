@@ -36,8 +36,8 @@ func (b *Bound) witScratch(d int) []rdfgraph.ID { return scratch(&b.wit, d) }
 
 // trace unions graph(paths(E, G, v, targets)) into out for a path slot:
 // the plan-level equivalent of core.Extractor.addTrace without attribution
-// (plans carry no recorder; the planner falls back to the AST extractor
-// when attribution is requested).
+// (plans carry no recorder; core.FragmentParallel falls back to the AST
+// extractor when attribution is requested).
 func (b *Bound) trace(slot int32, v rdfgraph.ID, targets []rdfgraph.ID, out *rdfgraph.IDTripleSet) {
 	if len(targets) == 0 {
 		return

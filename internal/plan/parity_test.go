@@ -4,6 +4,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"shaclfrag/internal/core"
@@ -122,9 +123,11 @@ func TestPlanFragmentParity(t *testing.T) {
 	}
 }
 
-// TestPlannerFragmentParity runs the same corpus through the cost-based
-// planner's mixed program set (nil entries fall back to the AST walker) —
-// the exact configuration fragserver serves with.
+// TestPlannerFragmentParity runs the same corpus through PlanSchema's
+// program set (nil entries fall back to the AST walker) — the exact
+// configuration fragserver serves with — under three memo budgets: the
+// default, the median definition's memo (some definitions on the walker,
+// the rest on plans), and one byte (every definition on the walker).
 func TestPlannerFragmentParity(t *testing.T) {
 	for _, tc := range exampleParityCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
@@ -135,17 +138,33 @@ func TestPlannerFragmentParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sp := plan.PlanSchema(tc.h, store.SampleStats(st.Current()), plan.Config{})
-			x := core.NewExtractor(st.Current().Reader(), tc.h)
-			frag, err := x.FragmentParallel(requests, core.ParallelOptions{
-				Workers: 4,
-				Plans:   sp.ProgramSet(),
-			})
-			if err != nil {
-				t.Fatal(err)
+			stats := store.SampleStats(st.Current())
+			var memo []int64
+			for _, d := range plan.PlanSchema(tc.h, stats, plan.Config{}).Decisions {
+				memo = append(memo, d.MemoBytes)
 			}
-			if got := turtle.FormatNTriples(frag); got != want {
-				t.Errorf("planner-routed fragment differs from AST (%d vs %d bytes)", len(got), len(want))
+			slices.Sort(memo)
+			median := memo[(len(memo)-1)/2]
+			for _, budget := range []int64{0, median, 1} {
+				sp := plan.PlanSchema(tc.h, stats, plan.Config{MemoBudget: budget})
+				counts := sp.Counts()
+				if budget == median && (counts[plan.StrategyPlan] == 0 || counts[plan.StrategyDirect] == 0) {
+					t.Errorf("median budget %dB does not split the schema: %v", budget, counts)
+				}
+				if budget == 1 && counts[plan.StrategyPlan] != 0 {
+					t.Errorf("1-byte budget left %d definitions on plans", counts[plan.StrategyPlan])
+				}
+				x := core.NewExtractor(st.Current().Reader(), tc.h)
+				frag, err := x.FragmentParallel(requests, core.ParallelOptions{
+					Workers: 4,
+					Plans:   sp.ProgramSet(),
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := turtle.FormatNTriples(frag); got != want {
+					t.Errorf("budget %dB: planner-routed fragment differs from AST (%d vs %d bytes)", budget, len(got), len(want))
+				}
 			}
 		})
 	}

@@ -21,12 +21,9 @@
 // instructions instead of AST nodes and is byte-for-byte identical to
 // core.Extractor — property-tested and gated in the parity suites.
 //
-// The package also houses the cost-based strategy planner (planner.go)
-// that decides, per shape definition, whether extraction should run on the
-// compiled plan, the AST walker, or the SPARQL translation — replacing the
-// old boolean strategy flag with a decision informed by shapelint's
-// expensive-path analysis and cardinality statistics sampled from the
-// store snapshot.
+// The package also houses PlanSchema (planner.go), which compiles every
+// definition of a schema once and routes a program to the AST walker only
+// when its dense memo would exceed the memory budget.
 package plan
 
 import (

@@ -2,50 +2,32 @@ package plan
 
 import (
 	"fmt"
-	"strings"
 
 	"shaclfrag/internal/rdf"
 	"shaclfrag/internal/schema"
 	"shaclfrag/internal/shape"
-	"shaclfrag/internal/shapelint"
-	"shaclfrag/internal/sparqltrans"
 	"shaclfrag/internal/store"
 )
 
-// Strategy is one way to extract a shape's fragment.
+// Strategy is one way to extract a shape's fragment in-process.
 type Strategy int
 
 const (
 	// StrategyPlan runs the compiled instruction program with dense memo
-	// rows — the fast path for steady-state extraction.
+	// rows — the serving engine.
 	StrategyPlan Strategy = iota
 	// StrategyDirect walks the shape AST with the map-memoized evaluator:
 	// slower per node but with memory proportional to nodes actually
-	// touched, and the only strategy that supports attribution recording.
+	// touched. PlanSchema routes a definition here only when its dense
+	// memo would exceed the budget.
 	StrategyDirect
-	// StrategySPARQL evaluates the translated fragment query (Section 5.1)
-	// on the in-memory engine. Never cheaper here, but the paper's
-	// portability story: the planner keeps it available for callers that
-	// ship queries to an external endpoint, and prices it honestly.
-	StrategySPARQL
 )
 
-var strategyNames = map[Strategy]string{
-	StrategyPlan:   "plan",
-	StrategyDirect: "direct",
-	StrategySPARQL: "sparql",
-}
-
-func (s Strategy) String() string { return strategyNames[s] }
-
-// ParseStrategy parses a strategy name ("plan", "direct", "sparql").
-func ParseStrategy(name string) (Strategy, error) {
-	for s, n := range strategyNames {
-		if n == name {
-			return s, nil
-		}
+func (s Strategy) String() string {
+	if s == StrategyDirect {
+		return "direct"
 	}
-	return StrategyPlan, fmt.Errorf("plan: unknown strategy %q (want plan, direct or sparql)", name)
+	return "plan"
 }
 
 // DefaultMemoBudget bounds the dense memo memory one bound program may
@@ -54,59 +36,39 @@ func ParseStrategy(name string) (Strategy, error) {
 // nodes actually visited instead of the dictionary size.
 const DefaultMemoBudget = 64 << 20
 
-// Config tunes the planner.
+// Config tunes PlanSchema.
 type Config struct {
 	// MemoBudget caps MemoBytes per bound program; 0 means
-	// DefaultMemoBudget, negative means unlimited.
+	// DefaultMemoBudget, negative means unlimited. It is priced once,
+	// against the dictionary size PlanSchema is given: a server that
+	// plans at load keeps its verdicts as updates grow the dictionary.
+	// Memo rows allocate lazily, so a bound program only pins rows up to
+	// the IDs extraction actually touches.
 	MemoBudget int64
-	// Force pins every decision to one strategy, skipping the cost model
-	// (the CLI's -strategy plan|direct|sparql). Vetoes still apply: a
-	// forced plan over budget degrades to direct.
-	Force Strategy
-	// Forced reports whether Force is set.
-	Forced bool
 }
 
-// Decision is the planner's choice for one shape definition, with the cost
-// estimates that produced it so /metrics and `shaclfrag plan` can show the
-// reasoning.
+// Decision is PlanSchema's verdict for one shape definition.
 type Decision struct {
 	Name     rdf.Term
 	Strategy Strategy
 	// Program is the compiled program; always present (the disassembler
-	// and parity suites want it even for non-plan strategies).
+	// and parity suites want it even for direct-routed definitions).
 	Program *Program
-	// CostPlan/CostDirect/CostSPARQL are the model's estimates in
-	// abstract work units (node visits weighted by operation kind).
-	CostPlan, CostDirect, CostSPARQL float64
-	// MemoBytes is the dense-row memory the plan strategy would pin.
+	// MemoBytes is the dense-row memory the program would pin.
 	MemoBytes int64
-	// Reason is a one-line explanation ("cheapest", "memo over budget",
-	// "SL008 veto", "forced").
+	// Reason is a one-line explanation of the verdict.
 	Reason string
 }
 
-// SchemaPlan is the planner's output for a whole schema: one decision per
-// definition, in definition order, plus the sampled stats they were priced
-// against.
+// SchemaPlan is PlanSchema's output for a whole schema: one decision per
+// definition, in definition order.
 type SchemaPlan struct {
 	Decisions []Decision
-	Stats     store.CardStats
 }
 
-// Requests returns the request shapes (Shape ∧ Target per definition), in
-// decision order — the same list FragmentParallel takes.
-func (sp *SchemaPlan) Requests() []shape.Shape {
-	out := make([]shape.Shape, len(sp.Decisions))
-	for i, d := range sp.Decisions {
-		out[i] = d.Program.Source
-	}
-	return out
-}
-
-// ProgramSet returns the compiled programs aligned with Requests, with nil
-// entries for definitions the planner routed away from the plan strategy —
-// exactly the shape core.ParallelOptions.Plans expects.
+// ProgramSet returns the compiled programs in definition order (the order
+// of core.SchemaRequests), with nil entries for definitions routed to the
+// AST walker — exactly the shape core.ParallelOptions.Plans expects.
 func (sp *SchemaPlan) ProgramSet() *Set {
 	s := &Set{Programs: make([]*Program, len(sp.Decisions))}
 	for i, d := range sp.Decisions {
@@ -119,111 +81,36 @@ func (sp *SchemaPlan) ProgramSet() *Set {
 
 // Counts returns how many definitions landed on each strategy.
 func (sp *SchemaPlan) Counts() map[Strategy]int {
-	out := make(map[Strategy]int, 3)
+	out := make(map[Strategy]int, 2)
 	for _, d := range sp.Decisions {
 		out[d.Strategy]++
 	}
 	return out
 }
 
-// String renders the plan as a table, one definition per line.
-func (sp *SchemaPlan) String() string {
-	var b strings.Builder
-	for _, d := range sp.Decisions {
-		fmt.Fprintf(&b, "%s\t%s\tplan=%.3g direct=%.3g sparql=%.3g\t%s\n",
-			d.Name, d.Strategy, d.CostPlan, d.CostDirect, d.CostSPARQL, d.Reason)
-	}
-	return b.String()
-}
-
-// Cost-model weights. The units are abstract "node visits"; only the
-// ratios matter, and they are calibrated against BENCH_1–3: direct
-// evaluation costs ~4× a plan visit (map-keyed memo hits plus per-call
-// sorting vs dense-row lookups), and the SPARQL engine pays roughly an
-// order of magnitude over direct on the same workload (Fig. 2/3).
-const (
-	costPlanVisit   = 1.0  // one instruction × node check on dense rows
-	costDirectVisit = 4.0  // same check through the map-memoized evaluator
-	costBindPerByte = 0.01 // zeroing/allocating dense rows at bind time
-	costSPARQLScan  = 10.0 // per triple scanned by the translated query
-	costSPARQLOp    = 64.0 // per algebra operator materialization
-)
-
-// PlanSchema prices every definition of h against the sampled stats and
-// picks a strategy per shape. Shapelint runs once over the schema: a
-// definition carrying an SL008 (expensive unbounded path in universal or
-// negated position) never goes to SPARQL, where the translated query
-// re-traces the product automaton per binding with no memo.
+// PlanSchema compiles every definition of h and routes each program to
+// the AST walker when its dense memo, sized against st.DictTerms, exceeds
+// cfg.MemoBudget; every other definition runs on its compiled plan.
+// Programs depend only on the schema, so a caller plans once per schema;
+// the budget is priced against the dictionary st describes and not
+// revisited.
 func PlanSchema(h *schema.Schema, st store.CardStats, cfg Config) *SchemaPlan {
 	budget := cfg.MemoBudget
 	if budget == 0 {
 		budget = DefaultMemoBudget
 	}
-
-	expensive := make(map[rdf.Term]bool)
-	for _, d := range shapelint.Run(h) {
-		if d.Code == shapelint.CodeExpensivePath {
-			expensive[d.Shape] = true
-		}
-	}
-
 	defs := h.Definitions()
-	sp := &SchemaPlan{Decisions: make([]Decision, len(defs)), Stats: st}
+	sp := &SchemaPlan{Decisions: make([]Decision, len(defs))}
 	for i, d := range defs {
-		request := shape.AndOf(d.Shape, d.Target)
-		prog := Compile(request, h)
+		prog := Compile(shape.AndOf(d.Shape, d.Target), h)
 		dec := Decision{Name: d.Name, Program: prog, MemoBytes: prog.MemoBytes(st.DictTerms)}
-
-		nodes := float64(st.Nodes)
-		instrs := float64(len(prog.Instrs))
-		dec.CostPlan = nodes*instrs*costPlanVisit + float64(dec.MemoBytes)*costBindPerByte
-		dec.CostDirect = nodes * instrs * costDirectVisit
-
-		q := sparqltrans.MeasureQuery(request, h)
-		scanned := 0
-		for _, p := range q.Preds {
-			scanned += st.Card(p)
+		if budget >= 0 && dec.MemoBytes > budget {
+			dec.Strategy = StrategyDirect
+			dec.Reason = fmt.Sprintf("memo %dB over budget %dB", dec.MemoBytes, budget)
+		} else {
+			dec.Reason = fmt.Sprintf("memo %dB within budget", dec.MemoBytes)
 		}
-		// Each path-trace subquery scans N(G) candidates through the
-		// automaton; plain patterns scan their predicate's posting list.
-		dec.CostSPARQL = costSPARQLScan*(float64(scanned)+float64(q.PathTraces)*nodes) +
-			costSPARQLOp*float64(q.Ops+q.Patterns)
-
-		dec.Strategy, dec.Reason = choose(dec, cfg, budget, expensive[d.Name])
 		sp.Decisions[i] = dec
 	}
 	return sp
-}
-
-// choose applies vetoes, then the cost comparison.
-func choose(dec Decision, cfg Config, budget int64, expensivePath bool) (Strategy, string) {
-	overBudget := budget >= 0 && dec.MemoBytes > budget
-
-	if cfg.Forced {
-		s := cfg.Force
-		if s == StrategyPlan && overBudget {
-			return StrategyDirect, fmt.Sprintf("forced plan, but memo %dB over budget %dB", dec.MemoBytes, budget)
-		}
-		if s == StrategySPARQL && expensivePath {
-			return StrategyDirect, "forced sparql, but SL008 expensive path vetoes translation"
-		}
-		return s, "forced"
-	}
-
-	best, reason := StrategyPlan, "cheapest"
-	cost := dec.CostPlan
-	if dec.CostDirect < cost {
-		best, cost = StrategyDirect, dec.CostDirect
-	}
-	if dec.CostSPARQL < cost && !expensivePath {
-		best = StrategySPARQL
-	}
-	if best == StrategySPARQL && expensivePath {
-		best, reason = StrategyDirect, "SL008 expensive path vetoes sparql"
-	}
-	if best == StrategyPlan && overBudget {
-		best = StrategyDirect
-		reason = fmt.Sprintf("memo %dB over budget %dB", dec.MemoBytes, budget)
-	}
-	return best, reason
 }

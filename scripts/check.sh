@@ -154,4 +154,7 @@ fi
 echo "== turtle round-trip fuzz (5s smoke)"
 $GO test -run '^$' -fuzz FuzzParseSerialize -fuzztime 5s ./internal/turtle
 
+echo "== /node term parser fuzz (5s smoke)"
+$GO test -run '^$' -fuzz FuzzParseTermParam -fuzztime 5s ./internal/fragserver
+
 echo "check: OK"
