@@ -9,8 +9,8 @@ import (
 // NodeNeighborhoods computes isolated per-node neighborhoods B(v, G, φ)
 // for exactly the given focus nodes — the targeted re-extraction entry
 // point incremental fragment maintenance runs after an update, passing
-// only the delta-affected worklist (store.ApplyResult.AffectedNodes)
-// instead of all of N(G).
+// only the nodes a shape's footprint reaches from the delta
+// (Footprint.Reach) instead of all of N(G).
 //
 // The contract matches FragmentParallel's cached mode: request must be the
 // pointer-stable cache key, a non-nil cache is consulted per node and

@@ -39,17 +39,25 @@ func parseTermParam(raw string) (rdf.Term, error) {
 
 // parseTermViaTurtle reuses the Turtle parser by placing the raw text in
 // the object position of a probe triple; exactly one triple must come back,
-// which also rejects smuggled terminators and object lists.
+// which also rejects smuggled terminators and object lists. The probe is
+// closed once on raw's own line and once on the next: a '#' comment in raw
+// then fails one of the two parses — on the same line it swallows the
+// terminator, after a terminator smuggled into raw it leaves the next
+// line's "." dangling — so an accepted term is exactly the raw text.
 func parseTermViaTurtle(raw string) (rdf.Term, error) {
 	const probe = "<http://fragserver.invalid/s> <http://fragserver.invalid/p> "
-	ts, err := turtle.ParseTriples(probe + raw + " .")
-	if err != nil {
-		return rdf.Term{}, fmt.Errorf("malformed term %q: %v", raw, err)
+	var term rdf.Term
+	for i, end := range []string{" .", "\n."} {
+		ts, err := turtle.ParseTriples(probe + raw + end)
+		if err != nil {
+			return rdf.Term{}, fmt.Errorf("malformed term %q: %v", raw, err)
+		}
+		if len(ts) != 1 || (i > 0 && ts[0].O != term) {
+			return rdf.Term{}, fmt.Errorf("malformed term %q: expected a single term", raw)
+		}
+		term = ts[0].O
 	}
-	if len(ts) != 1 {
-		return rdf.Term{}, fmt.Errorf("malformed term %q: expected a single term", raw)
-	}
-	return ts[0].O, nil
+	return term, nil
 }
 
 // parseBareIRI accepts un-bracketed IRIs for curl convenience, rejecting

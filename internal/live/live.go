@@ -2,30 +2,36 @@
 // store epochs and pushes per-epoch fragment deltas to subscribers.
 //
 // The paper's locality result is what makes this sound: B(v, G, φ) and v's
-// conformance verdict depend only on v's weakly-connected component, so
-// after a delta publishes epoch e+1, only focus nodes whose component the
-// delta touched (store.ApplyResult.AffectedNodes — the inversion of the
-// Unaffected predicate the cache-carry path already uses) can have changed
-// neighborhoods. A Maintainer therefore keeps, per subscribed shape, the
-// per-focus-node neighborhoods plus a triple refcount over their union (the
-// materialized fragment), and on every update re-extracts only the affected
-// worklist, diffing old against new per node. Triples whose refcount rises
-// from zero enter the fragment, those falling to zero leave it; the sorted
-// N-Triples renderings of the two sets are the per-epoch delta pushed to
-// subscribers — serialized once per (shape, epoch) and shared by every
-// subscriber, so fanout to thousands of clients is a channel send each.
+// conformance verdict depend only on the edges a Table 2 walk from v can
+// read — the properties φ mentions, stepped in the direction its paths name
+// them (Lemma D.1). A Maintainer computes that footprint once per
+// subscribed shape (core.Footprint, following hasShape references through
+// the schema) and, after a delta publishes epoch e+1, re-extracts only the
+// footprint's reach from the effective delta triples
+// (store.ApplyResult.Delta): the nodes whose walk can arrive at an edge the
+// delta added or removed. Nodes elsewhere — even in the same
+// weakly-connected component — keep their neighborhoods and verdicts.
+//
+// Per subscribed shape, a Maintainer keeps the per-focus-node
+// neighborhoods plus a triple refcount over their union (the materialized
+// fragment), and on every update diffs old against new for each reached
+// node; a reached node the delta removed from N(G) is diffed against the
+// empty neighborhood. Triples whose refcount rises from zero enter the
+// fragment, those falling to zero leave it; the sorted N-Triples
+// renderings of the two sets are the per-epoch delta pushed to subscribers
+// — serialized once per (shape, epoch) and shared by every subscriber, so
+// fanout to thousands of clients is a channel send each.
 //
 // Re-extraction writes through the serving neighborhood cache, so an
-// update leaves the cache warm for exactly the nodes it touched while the
-// carry path keeps the untouched majority — /fragment after an update is
-// served entirely from memory instead of cold.
+// update leaves the cache warm for exactly the nodes it re-extracted while
+// the carry path keeps the entries of untouched components.
 //
 // Epoch ordering: updates apply serially inside the store, but the
 // handlers notifying the Maintainer race after the apply lock. Notify
 // therefore stashes results whose predecessor epoch is not the maintained
 // one and applies them once the chain closes, so maintenance always steps
-// prev → prev+1 with the matching Unaffected predicate — the same
-// discipline that fixes the cache-carry race.
+// prev → prev+1 with the matching delta — the same discipline that fixes
+// the cache-carry race.
 package live
 
 import (
@@ -110,17 +116,19 @@ type Maintainer struct {
 	resumed        uint64
 }
 
-// shapeState is one maintained shape: its per-focus-node neighborhoods,
-// the refcounted fragment union, the replay ring, and its subscribers.
+// shapeState is one maintained shape: its footprint, per-focus-node
+// neighborhoods, the refcounted fragment union, the replay ring, and its
+// subscribers.
 type shapeState struct {
-	def     int
-	request shape.Shape
-	perNode map[rdfgraph.ID][]rdfgraph.IDTriple
-	refs    map[rdfgraph.IDTriple]int
-	ring    []Event // delta events for changed epochs in (floor, cur]
-	floor   uint64  // highest epoch the ring can NOT replay past
-	subs    map[*Subscription]struct{}
-	snap    []byte // lazily built full-fragment payload for the current epoch
+	def       int
+	request   shape.Shape
+	footprint *core.Footprint
+	perNode   map[rdfgraph.ID][]rdfgraph.IDTriple
+	refs      map[rdfgraph.IDTriple]int
+	ring      []Event // delta events for changed epochs in (floor, cur]
+	floor     uint64  // highest epoch the ring can NOT replay past
+	subs      map[*Subscription]struct{}
+	snap      []byte // lazily built full-fragment payload for the current epoch
 }
 
 // NewMaintainer builds a Maintainer serving snap's epoch. No fragment is
@@ -165,12 +173,13 @@ func (m *Maintainer) ensureShapeLocked(def int) *shapeState {
 		return st
 	}
 	st := &shapeState{
-		def:     def,
-		request: m.cfg.Requests[def],
-		perNode: make(map[rdfgraph.ID][]rdfgraph.IDTriple),
-		refs:    make(map[rdfgraph.IDTriple]int),
-		floor:   m.epoch,
-		subs:    make(map[*Subscription]struct{}),
+		def:       def,
+		request:   m.cfg.Requests[def],
+		footprint: core.NewFootprint(m.cfg.Schema, m.cfg.Requests[def]),
+		perNode:   make(map[rdfgraph.ID][]rdfgraph.IDTriple),
+		refs:      make(map[rdfgraph.IDTriple]int),
+		floor:     m.epoch,
+		subs:      make(map[*Subscription]struct{}),
 	}
 	reader := m.snap.Reader()
 	x := core.NewExtractor(reader, m.cfg.Schema)
@@ -192,9 +201,10 @@ func (m *Maintainer) ensureShapeLocked(def int) *shapeState {
 
 // NotifyStats reports what one Notify call processed: Steps epochs were
 // applied (more than one when this call closed a pending chain), covering
-// Affected delta-touched focus nodes, re-extracting Reextracted
-// (shape × node) neighborhoods, and changing the maintained fragments by
-// Added/Removed triples.
+// Affected focus nodes (distinct per step, across the maintained shapes'
+// footprint reaches), re-extracting Reextracted (shape × node)
+// neighborhoods, and changing the maintained fragments by Added/Removed
+// triples.
 type NotifyStats struct {
 	Steps       int
 	Affected    int
@@ -208,7 +218,7 @@ type NotifyStats struct {
 // called once per effective update; res.Changed false is a no-op.
 // Out-of-order notifications (racing handlers) are stashed and applied
 // when their predecessor epoch lands, so steps always run in epoch order
-// against the matching Unaffected predicate.
+// against the matching delta.
 //
 // sp, when non-nil (a sampled update request), receives the affected /
 // reextracted / shapes attributes and reextract / fanout child timings —
@@ -242,57 +252,58 @@ func (m *Maintainer) Notify(res store.ApplyResult, sp *obs.Span) NotifyStats {
 	return stats
 }
 
-// stepLocked applies one epoch transition: computes the affected worklist,
-// re-extracts it per maintained shape, diffs, publishes delta events.
+// stepLocked applies one epoch transition: per maintained shape, computes
+// the footprint reach of the delta, re-extracts it, diffs, and publishes a
+// delta event when the fragment moved.
 func (m *Maintainer) stepLocked(res store.ApplyResult, sp *obs.Span, stats *NotifyStats) {
 	snap := res.Snapshot
 	reader := snap.Reader()
 	epoch := snap.Epoch()
 	stats.Steps++
-	if len(m.shapes) > 0 {
-		affected := res.AffectedNodes(reader.NodeIDs())
-		inAffected := make(map[rdfgraph.ID]struct{}, len(affected))
+	reached := make(map[rdfgraph.ID]struct{})
+	for def, st := range m.shapes {
+		begin := time.Now()
+		affected := st.footprint.Reach(reader, res.Delta)
+		// Reached nodes the delta removed from N(G) have empty
+		// neighborhoods in the new epoch; only the rest are extracted.
+		var nodes, gone []rdfgraph.ID
 		for _, v := range affected {
-			inAffected[v] = struct{}{}
+			reached[v] = struct{}{}
+			if reader.IsNode(v) {
+				nodes = append(nodes, v)
+			} else {
+				gone = append(gone, v)
+			}
 		}
-		stats.Affected += len(affected)
-		for def, st := range m.shapes {
-			begin := time.Now()
+		var added, removed []rdfgraph.IDTriple
+		if len(nodes) > 0 {
 			x := core.NewExtractor(reader, m.cfg.Schema)
-			nbs := x.NodeNeighborhoods(st.request, m.bind(def, reader), affected, m.cfg.Cache, epoch)
-			var added, removed []rdfgraph.IDTriple
-			for i, v := range affected {
+			nbs := x.NodeNeighborhoods(st.request, m.bind(def, reader), nodes, m.cfg.Cache, epoch)
+			for i, v := range nodes {
 				added, removed = st.diff(v, nbs[i], added, removed)
 			}
-			// Nodes the delta removed from N(G) entirely: dirty component,
-			// but absent from the new node list — their neighborhoods are
-			// empty in the new epoch.
-			for v := range st.perNode {
-				if _, ok := inAffected[v]; ok {
-					continue
-				}
-				if !res.Unaffected(v) {
-					added, removed = st.diff(v, nil, added, removed)
-				}
-			}
-			m.reextracted += uint64(len(affected))
-			stats.Reextracted += len(affected)
-			sp.Observe("reextract", time.Since(begin))
-			if len(added) == 0 && len(removed) == 0 {
-				continue // this delta did not move this shape's fragment
-			}
-			stats.Added += len(added)
-			stats.Removed += len(removed)
-			m.deltaAdded += uint64(len(added))
-			m.deltaRemoved += uint64(len(removed))
-			st.snap = nil // the cached full-fragment payload is stale
-			ev := deltaEvent(epoch, lines(reader.Dict(), added), lines(reader.Dict(), removed))
-			st.push(ev, m.cfg.Replay)
-			begin = time.Now()
-			m.fanoutLocked(st, ev)
-			sp.Observe("fanout", time.Since(begin))
 		}
+		for _, v := range gone {
+			added, removed = st.diff(v, nil, added, removed)
+		}
+		m.reextracted += uint64(len(nodes))
+		stats.Reextracted += len(nodes)
+		sp.Observe("reextract", time.Since(begin))
+		if len(added) == 0 && len(removed) == 0 {
+			continue // this delta did not move this shape's fragment
+		}
+		stats.Added += len(added)
+		stats.Removed += len(removed)
+		m.deltaAdded += uint64(len(added))
+		m.deltaRemoved += uint64(len(removed))
+		st.snap = nil // the cached full-fragment payload is stale
+		ev := deltaEvent(epoch, lines(reader.Dict(), added), lines(reader.Dict(), removed))
+		st.push(ev, m.cfg.Replay)
+		begin = time.Now()
+		m.fanoutLocked(st, ev)
+		sp.Observe("fanout", time.Since(begin))
 	}
+	stats.Affected += len(reached)
 	m.epoch, m.snap = epoch, snap
 }
 

@@ -103,8 +103,8 @@ func equalLines(a, b []string) bool {
 }
 
 // TestSnapshotThenDelta is the core contract: a fresh subscriber gets the
-// full fragment as a snapshot event, and an update touching one component
-// produces exactly that component's delta.
+// full fragment as a snapshot event, and an update produces exactly its
+// delta, re-extracting only the node whose walk reads the new edge.
 func TestSnapshotThenDelta(t *testing.T) {
 	m, st, h := newMaintainer(t, live.Config{})
 	sub, initial, err := m.Subscribe(0, 0)
@@ -125,10 +125,11 @@ func TestSnapshotThenDelta(t *testing.T) {
 	if ns.Steps != 1 || ns.Added != 1 || ns.Removed != 0 {
 		t.Fatalf("notify stats: %+v", ns)
 	}
-	// Only the {a,b} component (now {a,b,e}) is affected; {c,d} must not
-	// be re-extracted.
-	if ns.Affected != 3 {
-		t.Errorf("affected = %d, want 3 (a, b, e)", ns.Affected)
+	// Only a is affected: it is where the ≥1 p.⊤ walk reads the new
+	// edge. b and e have no outgoing p-edge leading to it, and {c,d} must
+	// not be re-extracted.
+	if ns.Affected != 1 || ns.Reextracted != 1 {
+		t.Errorf("affected = %d, reextracted = %d, want 1 and 1 (a only)", ns.Affected, ns.Reextracted)
 	}
 	ev, ok := recv(t, sub)
 	if !ok || ev.Type != live.EventDelta || ev.Epoch != 2 {

@@ -40,16 +40,22 @@ type SpanContext struct {
 	TraceID TraceID
 	SpanID  SpanID // the caller's span, parent of our root
 	Sampled bool
+	// Flags holds the trace-flags byte as received, so a parsed header
+	// re-renders byte-for-byte; Traceparent takes the sampled bit (0x01)
+	// from Sampled.
+	Flags byte
 }
 
 // ParseTraceparent parses a W3C traceparent header value
 // (version-traceid-spanid-flags, e.g.
 // 00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01).
 // It returns ok=false for malformed values: wrong field lengths,
-// non-hex digits, all-zero trace or span IDs, or the reserved version
-// ff. Unknown future versions are accepted as long as the first four
-// fields parse (the spec requires forward compatibility); version 00
-// must have exactly four fields.
+// anything but lowercase hex digits (the spec's HEXDIGLC — an uppercase
+// ID would not survive the lowercase re-rendering, so the continued trace
+// would no longer match the caller's), all-zero trace or span IDs, or the
+// reserved version ff. Unknown future versions are accepted as long as
+// the first four fields parse (the spec requires forward compatibility);
+// version 00 must have exactly four fields.
 func ParseTraceparent(s string) (SpanContext, bool) {
 	s = strings.TrimSpace(s)
 	parts := strings.Split(s, "-")
@@ -57,13 +63,14 @@ func ParseTraceparent(s string) (SpanContext, bool) {
 		return SpanContext{}, false
 	}
 	ver, tid, sid, flags := parts[0], parts[1], parts[2], parts[3]
-	if len(ver) != 2 || !isHex(ver) || strings.EqualFold(ver, "ff") {
+	if len(ver) != 2 || !isLowerHex(ver) || ver == "ff" {
 		return SpanContext{}, false
 	}
 	if ver == "00" && len(parts) != 4 {
 		return SpanContext{}, false
 	}
-	if len(tid) != 32 || len(sid) != 16 || len(flags) != 2 {
+	if len(tid) != 32 || len(sid) != 16 || len(flags) != 2 ||
+		!isLowerHex(tid) || !isLowerHex(sid) || !isLowerHex(flags) {
 		return SpanContext{}, false
 	}
 	var sc SpanContext
@@ -80,27 +87,29 @@ func ParseTraceparent(s string) (SpanContext, bool) {
 	if sc.TraceID.IsZero() || sc.SpanID.IsZero() {
 		return SpanContext{}, false
 	}
+	sc.Flags = byte(fb)
 	sc.Sampled = fb&0x01 != 0
 	return sc, true
 }
 
-func isHex(s string) bool {
+func isLowerHex(s string) bool {
 	for i := 0; i < len(s); i++ {
 		c := s[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') && (c < 'A' || c > 'F') {
+		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
 			return false
 		}
 	}
 	return true
 }
 
-// Traceparent renders the context as a traceparent header value.
+// Traceparent renders the context as a version-00 traceparent header
+// value.
 func (c SpanContext) Traceparent() string {
-	flags := "00"
+	flags := c.Flags &^ 0x01
 	if c.Sampled {
-		flags = "01"
+		flags |= 0x01
 	}
-	return "00-" + c.TraceID.String() + "-" + c.SpanID.String() + "-" + flags
+	return "00-" + c.TraceID.String() + "-" + c.SpanID.String() + "-" + hex.EncodeToString([]byte{flags})
 }
 
 // Attr is one key=value annotation on a span. Exactly one of Str and Int

@@ -35,6 +35,11 @@ func TestParseTraceparent(t *testing.T) {
 		{"non-hex trace id", "00-" + strings.Repeat("zz", 16) + "-" + sid + "-01", false, false},
 		{"non-hex version", "0x-" + tid + "-" + sid + "-01", false, false},
 		{"non-hex flags", "00-" + tid + "-" + sid + "-zz", false, false},
+		{"uppercase trace id", "00-" + strings.ToUpper(tid) + "-" + sid + "-01", false, false},
+		{"mixed-case trace id", "00-4bf92f3577b34da6a3ce929d0e0e473A-" + sid + "-01", false, false},
+		{"uppercase span id", "00-" + tid + "-" + strings.ToUpper(sid) + "-01", false, false},
+		{"uppercase version", "0A-" + tid + "-" + sid + "-01", false, false},
+		{"uppercase flags", "00-" + tid + "-" + sid + "-0B", false, false},
 		{"too few fields", "00-" + tid + "-" + sid, false, false},
 		{"empty", "", false, false},
 		{"garbage", "hello world", false, false},
@@ -67,6 +72,41 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	if got := sc.Traceparent(); got != in {
 		t.Errorf("round trip = %q, want %q", got, in)
 	}
+}
+
+// FuzzParseTraceparent: parsing never panics, and every accepted
+// version-00 header re-renders byte-for-byte (after trimming surrounding
+// space), so a continued trace keeps exactly the caller's IDs and flags.
+func FuzzParseTraceparent(f *testing.F) {
+	for _, seed := range []string{
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-00",
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-09",
+		" 00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01\t",
+		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00F067AA0BA902B7-01",
+		"cc-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-extra",
+		"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+		"00-00000000000000000000000000000000-00f067aa0ba902b7-01",
+		"",
+		"----",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		sc, ok := ParseTraceparent(in)
+		if !ok {
+			return
+		}
+		if sc.TraceID.IsZero() || sc.SpanID.IsZero() {
+			t.Fatalf("accepted %q with a zero ID", in)
+		}
+		trimmed := strings.TrimSpace(in)
+		if strings.HasPrefix(trimmed, "00-") {
+			if got := sc.Traceparent(); got != trimmed {
+				t.Fatalf("round trip of %q = %q", trimmed, got)
+			}
+		}
+	})
 }
 
 // TestSpanTraceContinuation checks that a parent context threads through:

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"path"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 )
@@ -226,7 +227,7 @@ func (r *TraceRegistry) Handler(service string) http.Handler {
 		}
 		id := req.URL.Query().Get("id")
 		if id == "" {
-			if seg := path.Base(req.URL.Path); len(seg) == 32 && isHex(seg) {
+			if seg := path.Base(req.URL.Path); len(seg) == 32 && isLowerHex(strings.ToLower(seg)) {
 				id = seg
 			}
 		}

@@ -74,6 +74,12 @@ type ApplyResult struct {
 	// Added and Deleted count effective operations (duplicates and
 	// absent deletions excluded).
 	Added, Deleted int
+	// Delta lists the effective operations as ID triples, deletions first:
+	// exactly the triples whose presence differs between Prev and
+	// Snapshot. IDs resolve in the new snapshot's dictionary. Incremental
+	// maintenance seeds its shape-footprint search (core.Footprint.Reach)
+	// from these triples, so it never has to diff or scan the graph.
+	Delta []IDTriple
 	// Changed reports whether a new epoch was published.
 	Changed bool
 	// Unaffected reports whether a node's weakly-connected component —
@@ -99,7 +105,7 @@ func (st *Store) Apply(d Delta) ApplyResult {
 	old := st.cur.Load()
 	ng := old.g.CloneCOW()
 	var added, deleted int
-	var touched []ID
+	var delta []IDTriple
 	for _, t := range d.Del {
 		s := ng.LookupTerm(t.S)
 		p := ng.LookupTerm(t.P)
@@ -109,19 +115,16 @@ func (st *Store) Apply(d Delta) ApplyResult {
 		}
 		if ng.RemoveIDs(s, p, o) {
 			deleted++
-			touched = append(touched, s, o)
+			delta = append(delta, IDTriple{S: s, P: p, O: o})
 		}
 	}
-	type addedEdge struct{ s, o ID }
-	var newEdges []addedEdge
 	for _, t := range d.Add {
 		s := ng.TermID(t.S)
 		p := ng.TermID(t.P)
 		o := ng.TermID(t.O)
 		if ng.AddIDs(s, p, o) {
 			added++
-			touched = append(touched, s, o)
-			newEdges = append(newEdges, addedEdge{s, o})
+			delta = append(delta, IDTriple{S: s, P: p, O: o})
 		}
 	}
 	if added == 0 && deleted == 0 {
@@ -139,10 +142,10 @@ func (st *Store) Apply(d Delta) ApplyResult {
 	// previously separate components the new triples now bridge.
 	uf := NewComponents(ng.Dict().Len())
 	old.g.EachTriple(func(s, _, o ID) { uf.Union(s, o) })
-	for _, e := range newEdges {
-		uf.Union(e.s, e.o)
+	for _, t := range delta { // deleted edges are old edges: no-op unions
+		uf.Union(t.S, t.O)
 	}
-	dirty := uf.DirtySet(touched)
+	dirty := uf.DirtySet(delta)
 
 	ng.Freeze()
 	snap := &Snapshot{g: ng, epoch: old.epoch + 1}
@@ -152,29 +155,10 @@ func (st *Store) Apply(d Delta) ApplyResult {
 		Prev:       old.epoch,
 		Added:      added,
 		Deleted:    deleted,
+		Delta:      delta,
 		Changed:    true,
 		Unaffected: uf.Unaffected(dirty),
 	}
-}
-
-// AffectedNodes filters nodes down to those the delta's components touch:
-// the inversion of Unaffected into the worklist incremental re-extraction
-// runs over. Pass the new snapshot's NodeIDs to get the focus nodes whose
-// neighborhood or verdict may have changed (new nodes introduced by the
-// delta are endpoints of effective triples, so they always qualify); nodes
-// a deletion removed from N(G) are absent from that list and must be
-// handled by the caller (their neighborhoods are empty in the new epoch).
-func (res ApplyResult) AffectedNodes(nodes []ID) []ID {
-	if !res.Changed {
-		return nil
-	}
-	var out []ID
-	for _, id := range nodes {
-		if !res.Unaffected(id) {
-			out = append(out, id)
-		}
-	}
-	return out
 }
 
 // Components is a disjoint-set forest over dense IDs, used by the snapshot
@@ -225,13 +209,13 @@ func (uf *Components) Compress() {
 func (uf *Components) Root(x ID) ID { return uf.parent[x] }
 
 // DirtySet compresses the forest and returns the set of component roots
-// touched by the given IDs (typically every endpoint of an effective delta
-// triple).
-func (uf *Components) DirtySet(touched []ID) map[ID]struct{} {
+// holding an endpoint of an effective delta triple.
+func (uf *Components) DirtySet(delta []IDTriple) map[ID]struct{} {
 	uf.Compress()
-	dirty := make(map[ID]struct{}, len(touched))
-	for _, id := range touched {
-		dirty[uf.Root(id)] = struct{}{}
+	dirty := make(map[ID]struct{}, 2*len(delta))
+	for _, t := range delta {
+		dirty[uf.Root(t.S)] = struct{}{}
+		dirty[uf.Root(t.O)] = struct{}{}
 	}
 	return dirty
 }

@@ -51,22 +51,28 @@ func RandomTerm(rng *rand.Rand) rdf.Term {
 func RandomGraph(rng *rand.Rand, edges int) *rdfgraph.Graph {
 	g := rdfgraph.New()
 	for i := 0; i < edges; i++ {
-		s := IRI(nodeNames[rng.Intn(len(nodeNames))])
-		p := IRI(propNames[rng.Intn(len(propNames))])
-		var o rdf.Term
-		switch rng.Intn(10) {
-		case 0:
-			o = rdf.NewInteger(int64(rng.Intn(5)))
-		case 1:
-			o = rdf.NewLangString("w"+nodeNames[rng.Intn(3)], []string{"en", "nl"}[rng.Intn(2)])
-		case 2:
-			o = rdf.NewString(nodeNames[rng.Intn(3)])
-		default:
-			o = IRI(nodeNames[rng.Intn(len(nodeNames))])
-		}
-		g.Add(rdf.T(s, p, o))
+		g.Add(RandomTriple(rng))
 	}
 	return g
+}
+
+// RandomTriple generates one edge over RandomGraph's universe, so deltas
+// drawn from it collide with the edges of a generated graph.
+func RandomTriple(rng *rand.Rand) rdf.Triple {
+	s := IRI(nodeNames[rng.Intn(len(nodeNames))])
+	p := IRI(propNames[rng.Intn(len(propNames))])
+	var o rdf.Term
+	switch rng.Intn(10) {
+	case 0:
+		o = rdf.NewInteger(int64(rng.Intn(5)))
+	case 1:
+		o = rdf.NewLangString("w"+nodeNames[rng.Intn(3)], []string{"en", "nl"}[rng.Intn(2)])
+	case 2:
+		o = rdf.NewString(nodeNames[rng.Intn(3)])
+	default:
+		o = IRI(nodeNames[rng.Intn(len(nodeNames))])
+	}
+	return rdf.T(s, p, o)
 }
 
 // RandomPath generates a random path expression of bounded depth.

@@ -382,7 +382,7 @@ func (st *Sharded) Apply(d rdfgraph.Delta) ApplyResult {
 	old := st.cur.Load()
 	ng := old.sg.cloneCOW()
 	var added, deleted int
-	var touched []rdfgraph.ID
+	var delta []rdfgraph.IDTriple
 	for _, t := range d.Del {
 		s := ng.LookupTerm(t.S)
 		p := ng.LookupTerm(t.P)
@@ -392,19 +392,16 @@ func (st *Sharded) Apply(d rdfgraph.Delta) ApplyResult {
 		}
 		if ng.RemoveIDs(s, p, o) {
 			deleted++
-			touched = append(touched, s, o)
+			delta = append(delta, rdfgraph.IDTriple{S: s, P: p, O: o})
 		}
 	}
-	type addedEdge struct{ s, o rdfgraph.ID }
-	var newEdges []addedEdge
 	for _, t := range d.Add {
 		s := ng.TermID(t.S)
 		p := ng.TermID(t.P)
 		o := ng.TermID(t.O)
 		if ng.AddIDs(s, p, o) {
 			added++
-			touched = append(touched, s, o)
-			newEdges = append(newEdges, addedEdge{s, o})
+			delta = append(delta, rdfgraph.IDTriple{S: s, P: p, O: o})
 		}
 	}
 	if added == 0 && deleted == 0 {
@@ -417,10 +414,10 @@ func (st *Sharded) Apply(d rdfgraph.Delta) ApplyResult {
 
 	uf := rdfgraph.NewComponents(ng.Dict().Len())
 	old.sg.EachTriple(func(s, _, o rdfgraph.ID) { uf.Union(s, o) })
-	for _, e := range newEdges {
-		uf.Union(e.s, e.o)
+	for _, t := range delta { // deleted edges are old edges: no-op unions
+		uf.Union(t.S, t.O)
 	}
-	dirty := uf.DirtySet(touched)
+	dirty := uf.DirtySet(delta)
 
 	ng.Freeze()
 	snap := &shardedSnap{sg: ng, epoch: old.epoch + 1}
@@ -430,6 +427,7 @@ func (st *Sharded) Apply(d rdfgraph.Delta) ApplyResult {
 		Prev:       old.epoch,
 		Added:      added,
 		Deleted:    deleted,
+		Delta:      delta,
 		Changed:    true,
 		Unaffected: uf.Unaffected(dirty),
 	}

@@ -33,6 +33,7 @@ func (st *Single) Apply(d rdfgraph.Delta) ApplyResult {
 		Prev:       res.Prev,
 		Added:      res.Added,
 		Deleted:    res.Deleted,
+		Delta:      res.Delta,
 		Changed:    res.Changed,
 		Unaffected: res.Unaffected,
 	}

@@ -75,24 +75,11 @@ type ApplyResult struct {
 	Snapshot       Snapshot
 	Prev           uint64
 	Added, Deleted int
-	Changed        bool
-	Unaffected     func(rdfgraph.ID) bool
-}
-
-// AffectedNodes filters nodes down to those the delta's components touch —
-// the worklist incremental re-extraction runs over. See
-// rdfgraph.ApplyResult.AffectedNodes.
-func (res ApplyResult) AffectedNodes(nodes []rdfgraph.ID) []rdfgraph.ID {
-	if !res.Changed {
-		return nil
-	}
-	var out []rdfgraph.ID
-	for _, id := range nodes {
-		if !res.Unaffected(id) {
-			out = append(out, id)
-		}
-	}
-	return out
+	// Delta is the effective ID triples of the update, deletions first;
+	// see rdfgraph.ApplyResult.Delta. Both backends fill it.
+	Delta      []rdfgraph.IDTriple
+	Changed    bool
+	Unaffected func(rdfgraph.ID) bool
 }
 
 // Store owns a sequence of immutable graph snapshots and publishes new

@@ -230,6 +230,34 @@ func TestApplyParity(t *testing.T) {
 	}
 }
 
+// TestApplyDelta checks both backends report exactly the effective
+// operations as ID triples, deletions first: duplicate adds and absent
+// deletions are left out, and a first-time term resolves in the new epoch.
+func TestApplyDelta(t *testing.T) {
+	for _, cfg := range []store.Config{{}, {Backend: store.BackendSharded, Shards: 3}} {
+		st, err := store.New(rdfgraph.FromTriples([]rdf.Triple{exTriple("a", "p", "b"), exTriple("c", "p", "d")}), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := st.Apply(rdfgraph.Delta{
+			Add: []rdf.Triple{exTriple("a", "p", "b"), exTriple("a", "fresh", "e")},
+			Del: []rdf.Triple{exTriple("c", "p", "d"), exTriple("nope", "p", "gone")},
+		})
+		r := res.Snapshot.Reader()
+		var got []rdf.Triple
+		for _, tr := range res.Delta {
+			got = append(got, rdf.Triple{S: r.Term(tr.S), P: r.Term(tr.P), O: r.Term(tr.O)})
+		}
+		want := []rdf.Triple{exTriple("c", "p", "d"), exTriple("a", "fresh", "e")}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: Delta = %v, want %v", st.Backend(), got, want)
+		}
+		if noop := st.Apply(rdfgraph.Delta{Add: []rdf.Triple{exTriple("a", "p", "b")}}); len(noop.Delta) != 0 {
+			t.Errorf("%s: no-op Delta = %v", st.Backend(), noop.Delta)
+		}
+	}
+}
+
 // TestUnaffectedSpansShards checks the component analysis behind
 // Unaffected is global: b's component is dirtied by an update to a even
 // when a and b live on different shards, while the untouched {c,d}

@@ -26,11 +26,12 @@ echo "== go test -race (serving path)"
 $GO test -race ./internal/core ./internal/rdfgraph ./internal/fragserver ./internal/live ./internal/shapelint
 
 echo "== update/subscription storm (-race, -short)"
-# The carry-race pin (stale cache entries resurrected by racing updates)
-# and the concurrent apply/notify/fanout storms, re-run on their own so a
+# The carry-race pin (stale cache entries resurrected by racing updates),
+# the concurrent apply/notify/fanout storms, and live maintenance parity
+# against cold extraction on both backends, re-run on their own so a
 # flake here names the tier that guards the write path.
 $GO test -race -short -count=1 \
-    -run 'TestUpdateCarryStormParity|TestUpdateRejectionPathsCounted|TestSubscribe|TestStormParity|TestSlowSubscriberEviction' \
+    -run 'TestUpdateCarryStormParity|TestUpdateRejectionPathsCounted|TestSubscribe|TestStormParity|TestSlowSubscriberEviction|TestLiveParity' \
     ./internal/fragserver ./internal/live
 
 echo "== go test -race (store tier, -short)"
@@ -77,6 +78,12 @@ echo "== containment soundness property gate"
 # A Contained verdict must never be refuted by randomized model search —
 # over the example schemas, random shape pairs, and the benchmark schema.
 $GO test -count=1 -run TestContainmentSoundness ./internal/contain
+
+echo "== footprint soundness property gate"
+# Live maintenance re-extracts only a shape footprint's reach from the
+# delta: every node whose neighborhood or verdict a random delta changes
+# must be inside it — over random graphs, shapes and hasShape schemas.
+$GO test -count=1 -run TestFootprintSound ./internal/core
 
 echo "== shaclfrag schema-diff goldens"
 # The diff of the committed example versions covers every change kind;
@@ -156,5 +163,8 @@ $GO test -run '^$' -fuzz FuzzParseSerialize -fuzztime 5s ./internal/turtle
 
 echo "== /node term parser fuzz (5s smoke)"
 $GO test -run '^$' -fuzz FuzzParseTermParam -fuzztime 5s ./internal/fragserver
+
+echo "== traceparent parser fuzz (5s smoke)"
+$GO test -run '^$' -fuzz FuzzParseTraceparent -fuzztime 5s ./internal/obs
 
 echo "check: OK"
